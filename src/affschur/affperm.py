@@ -246,8 +246,3 @@ def bruhat_lower(w: AffPerm) -> frozenset[AffPerm]:
         return _lower_coxeter(u)
     return frozenset(y.shift(a) for y in _lower_coxeter(u))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

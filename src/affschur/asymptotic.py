@@ -26,7 +26,7 @@ from .errors import (
     WindowExceeded,
 )
 from .hecke import h_expansion, kl_poly
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear
 from .parabolic import (
     Composition,
     CosetTriple,
@@ -289,8 +289,8 @@ def dinv_schur_colored(
 # The asymptotic rings
 
 
-@dataclass(frozen=True)
-class JElt:
+@dataclass(frozen=True, eq=False)
+class JElt(Combination):
     """An element of an asymptotic ring, over W (ring="J_W") or matrices
     (ring="J_Schur").
 
@@ -303,65 +303,36 @@ class JElt:
     n: int = 0
     terms: Mapping[object, LaurentPoly] = field(default_factory=dict)
 
-    def __post_init__(self):
-        clean = {k: c for k, c in self.terms.items() if not c.is_zero()}
-        object.__setattr__(self, "terms", clean)
+    def _validate(self) -> None:
         if self.ring not in ("J_W", "J_Schur"):
             raise BasisMismatch(f"unknown asymptotic ring tag {self.ring!r}")
 
-    def coeff(self, key) -> LaurentPoly:
-        return self.terms.get(key, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_integral(self) -> bool:
-        return all(c.is_constant() for c in self.terms.values())
-
-    def support(self) -> list:
-        return sorted(self.terms, key=lambda k: k.sort_key)
-
-    def __add__(self, other: "JElt") -> "JElt":
+    def _check_compatible(self, other: "JElt") -> None:
         if (self.ring, self.r, self.n) != (other.ring, other.r, other.n):
             raise PeriodMismatch("asymptotic ring mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + c
-        return JElt(self.ring, self.r, self.n, terms)
 
-    def __sub__(self, other: "JElt") -> "JElt":
-        return self + other.scale(-1)
+    @staticmethod
+    def _key_json(k) -> dict:
+        if isinstance(k, AffPerm):
+            return {"window": list(k.window)}
+        return {"matrix": [list(e) for e in k.entries]}
 
-    def scale(self, c: "LaurentPoly | int") -> "JElt":
-        if isinstance(c, int):
-            c = LaurentPoly(c)
-        return JElt(self.ring, self.r, self.n, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JElt):
-            return NotImplemented
-        return (self.ring, self.r, self.n, dict(self.terms)) == (
-            other.ring,
-            other.r,
-            other.n,
-            dict(other.terms),
-        )
-
-    def to_json(self) -> dict:
-        def key_json(k):
-            if isinstance(k, AffPerm):
-                return {"window": list(k.window)}
-            return {"matrix": [list(e) for e in k.entries]}
-
-        return {
-            "ring": self.ring,
-            "r": self.r,
-            "n": self.n,
-            "terms": [
-                dict(key_json(k), coeff=c.to_json())
-                for k, c in sorted(self.terms.items(), key=lambda p: p[0].sort_key)
-            ],
-        }
+    @staticmethod
+    def from_json(obj: dict) -> "JElt":
+        """Parse to_json output; a coefficient may also be an integer string,
+        and a missing one means 1."""
+        terms = {}
+        for t in obj["terms"]:
+            if "window" in t:
+                key = AffPerm(obj["r"], tuple(t["window"]))
+            else:
+                key = PeriodicMatrix(obj["n"], tuple(tuple(e) for e in t["matrix"]))
+            coeff = t.get("coeff", "1")
+            if isinstance(coeff, str):
+                terms[key] = LaurentPoly(int(coeff))
+            else:
+                terms[key] = LaurentPoly.from_json(coeff)
+        return JElt(obj["ring"], obj["r"], obj.get("n", 0), terms)
 
 
 def j_elt(key, ring: str | None = None, coeff: "LaurentPoly | int" = 1) -> JElt:
@@ -375,16 +346,10 @@ def j_elt(key, ring: str | None = None, coeff: "LaurentPoly | int" = 1) -> JElt:
 
 def j_mul(a: JElt, b: JElt, length_bound: int = 4) -> JElt:
     """The based-ring product t_x t_y = sum gamma_{x,y,z} t_z (both rings)."""
-    if (a.ring, a.r, a.n) != (b.ring, b.r, b.n):
-        raise PeriodMismatch("asymptotic ring mismatch")
+    a._check_compatible(b)
     expand = gamma_expansion if a.ring == "J_W" else gamma_mat_expansion
-    acc: dict[object, LaurentPoly] = {}
-    for x, cx in a.terms.items():
-        for y, cy in b.terms.items():
-            cxy = cx * cy
-            for z, g in expand(x, y, length_bound).items():
-                acc[z] = acc.get(z, ZERO) + cxy * g
-    return JElt(a.ring, a.r, a.n, acc)
+    terms = bilinear(a.terms, b.terms, lambda x, y: expand(x, y, length_bound).items())
+    return JElt(a.ring, a.r, a.n, terms)
 
 
 def j_identity_hecke(r: int, length_bound: int) -> JElt:
@@ -420,10 +385,8 @@ def lusztig_phi_hecke(w: AffPerm, length_bound: int) -> JElt:
 
 def lusztig_phi_hecke_elt(a, length_bound: int) -> JElt:
     """A-linear extension of lusztig_phi_hecke to C-basis Hecke elements."""
-    out = JElt("J_W", a.r, 0, {})
-    for w, c in a.terms.items():
-        out = out + lusztig_phi_hecke(w, length_bound).scale(c)
-    return out
+    terms = linear(a.terms, lambda w: lusztig_phi_hecke(w, length_bound).terms.items())
+    return JElt("J_W", a.r, 0, terms)
 
 
 def lusztig_phi_schur(A: PeriodicMatrix, length_bound: int) -> JElt:
@@ -444,10 +407,8 @@ def lusztig_phi_schur(A: PeriodicMatrix, length_bound: int) -> JElt:
 
 def lusztig_phi_schur_elt(a, length_bound: int) -> JElt:
     """A-linear extension of lusztig_phi_schur to theta-basis elements."""
-    out = JElt("J_Schur", a.r, a.n, {})
-    for A, c in a.terms.items():
-        out = out + lusztig_phi_schur(A, length_bound).scale(c)
-    return out
+    terms = linear(a.terms, lambda A: lusztig_phi_schur(A, length_bound).terms.items())
+    return JElt("J_Schur", a.r, a.n, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ on request).  Output is byte-stable for fixed inputs and configuration:
 canonical key ordering and canonical term ordering throughout.
 
 Exit codes: 0 success; 1 usage error; 2 domain error (invalid window or
-matrix); 3 verification failure (a counterexample was found); 4 refusal to
-use uncertified data.
+matrix); 3 verification failure (a counterexample was found, or a KL
+invariant failed); 4 refusal to use uncertified data.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from .affperm import AffPerm
 from .errors import (
     AffschurError,
     CacheIoError,
+    KLInvariantViolation,
     UncertifiedAValue,
     UncertifiedBoundary,
     WindowExceeded,
 )
 from .hecke import HeckeElt
-from .laurent import LaurentPoly
 from .parabolic import Composition, CosetTriple, PeriodicMatrix
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ EXIT_UNCERTIFIED = 4
 
 ENV_PREFIX = "AFFSCHUR_"
 DEFAULTS = {"r": None, "n": None, "L": 4, "omega_window": None, "cache": None,
-            "format": "json", "seed": 0}
+            "format": "json"}
 
 
 class UsageError(Exception):
@@ -130,19 +130,7 @@ def parse_hecke(spec: str, r: int | None) -> HeckeElt:
 def parse_jelt(spec: str, r: int | None) -> asymptotic.JElt:
     spec = spec.strip()
     if spec.startswith("{"):
-        obj = json.loads(spec)
-        terms = {}
-        for t in obj["terms"]:
-            if "window" in t:
-                key = AffPerm(obj["r"], tuple(t["window"]))
-            else:
-                key = PeriodicMatrix(obj["n"], tuple(tuple(e) for e in t["matrix"]))
-            coeff = t.get("coeff", "1")
-            if isinstance(coeff, str):
-                terms[key] = LaurentPoly(int(coeff))
-            else:
-                terms[key] = LaurentPoly.from_json(coeff)
-        return asymptotic.JElt(obj["ring"], obj["r"], obj.get("n", 0), terms)
+        return asymptotic.JElt.from_json(json.loads(spec))
     return asymptotic.j_elt(parse_perm(spec, r))
 
 
@@ -421,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rho-power range for enumerations")
     common.add_argument("--cache", default=None, help="path of the KL JSON-lines cache")
     common.add_argument("--format", default=None, choices=("json", "csv", "pretty"))
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized spot checks")
 
     p = argparse.ArgumentParser(
         prog="affschur",
@@ -507,7 +494,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "omega_window": None,
         "cache": _setting(args, "cache"),
         "format": _setting(args, "format"),
-        "seed": _setting(args, "seed", int),
     }
     cache = None
     try:
@@ -532,6 +518,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except CacheIoError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except KLInvariantViolation as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except AffschurError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -19,6 +19,7 @@ __all__ = [
     "UncertifiedBoundary",
     "WindowExceeded",
     "CacheIoError",
+    "KLInvariantViolation",
 ]
 
 
@@ -76,3 +77,8 @@ class WindowExceeded(AffschurError, ValueError):
 
 class CacheIoError(AffschurError, OSError):
     """The on-disk cache could not be read or written."""
+
+
+class KLInvariantViolation(AffschurError, ArithmeticError):
+    """A Kazhdan-Lusztig polynomial broke a proven invariant (such as its degree
+    bound), so a memo entry, possibly one loaded from a cache, is wrong."""

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import affperm
 from .affperm import AffPerm, bruhat_leq, bruhat_lower
-from .errors import BasisMismatch, PeriodMismatch
-from .laurent import ONE, Q, QINV, ZERO, LaurentPoly, t_pow
+from .errors import BasisMismatch, KLInvariantViolation, PeriodMismatch
+from .laurent import ONE, Q, QINV, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
 from .parabolic import Composition, CosetTriple, double_coset, young_elements
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "h_struct",
     "h_expansion",
     "x_lambda",
-    "y_lambda",
     "coset_sum_TD",
     "j_inv",
     "psi",
@@ -53,61 +52,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeckeElt:
+@dataclass(frozen=True, eq=False)
+class HeckeElt(Combination):
     """A finitely supported A-linear combination of basis elements T_w or C_w."""
 
     r: int
     basis: str
     terms: Mapping[AffPerm, LaurentPoly] = field(default_factory=dict)
 
-    def __post_init__(self):
-        clean = {w: c for w, c in self.terms.items() if not c.is_zero()}
-        object.__setattr__(self, "terms", clean)
+    def _validate(self) -> None:
         if self.basis not in ("T", "C"):
             raise BasisMismatch(f"unknown Hecke basis tag {self.basis!r}")
-        for w in clean:
+        for w in self.terms:
             if w.r != self.r:
                 raise PeriodMismatch(f"term {w} has period {w.r}, element has {self.r}")
-
-    def coeff(self, w: AffPerm) -> LaurentPoly:
-        return self.terms.get(w, ZERO)
-
-    def support(self) -> list[AffPerm]:
-        return sorted(self.terms, key=lambda w: w.sort_key)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return (self.r, self.basis, dict(self.terms)) == (
-            other.r,
-            other.basis,
-            dict(other.terms),
-        )
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, ZERO) + c
-        return HeckeElt(self.r, self.basis, terms)
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + other.scale(LaurentPoly(-1))
-
-    def scale(self, c: "LaurentPoly | int") -> "HeckeElt":
-        if isinstance(c, int):
-            c = LaurentPoly(c)
-        return HeckeElt(self.r, self.basis, {w: v * c for w, v in self.terms.items()})
-
-    def __mul__(self, other: "HeckeElt") -> "HeckeElt":
-        return h_mul(self, other)
-
-    def map_coeffs(self, f: Callable[[LaurentPoly], LaurentPoly]) -> "HeckeElt":
-        return HeckeElt(self.r, self.basis, {w: f(c) for w, c in self.terms.items()})
 
     def _check_compatible(self, other: "HeckeElt") -> None:
         if self.r != other.r:
@@ -115,15 +73,12 @@ class HeckeElt:
         if self.basis != other.basis:
             raise BasisMismatch(f"bases {self.basis} and {other.basis} differ")
 
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "basis": self.basis,
-            "terms": [
-                {"window": list(w.window), "coeff": c.to_json()}
-                for w, c in sorted(self.terms.items(), key=lambda p: p[0].sort_key)
-            ],
-        }
+    @staticmethod
+    def _key_json(w: AffPerm) -> dict:
+        return {"window": list(w.window)}
+
+    def __mul__(self, other: "HeckeElt") -> "HeckeElt":
+        return h_mul(self, other)
 
     @staticmethod
     def from_json(obj: dict) -> "HeckeElt":
@@ -193,13 +148,8 @@ def h_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
         raise PeriodMismatch(f"periods {a.r} and {b.r} differ")
     if a.basis != "T" or b.basis != "T":
         raise BasisMismatch("h_mul multiplies T-basis elements; convert first")
-    acc: dict[AffPerm, LaurentPoly] = {}
-    for v, cv in b.terms.items():
-        for u, cu in a.terms.items():
-            cuv = cu * cv
-            for w, c in _t_product(u, v).terms.items():
-                acc[w] = acc.get(w, ZERO) + cuv * c
-    return HeckeElt(a.r, "T", acc)
+    terms = bilinear(a.terms, b.terms, lambda u, v: _t_product(u, v).terms.items())
+    return HeckeElt(a.r, "T", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +183,8 @@ def h_bar(a: HeckeElt) -> HeckeElt:
     """The bar involution: coefficients bar'd, T_w replaced by T_{w^{-1}}^{-1}."""
     if a.basis != "T":
         raise BasisMismatch("h_bar acts on T-basis elements")
-    acc: dict[AffPerm, LaurentPoly] = {}
-    for w, c in a.terms.items():
-        cb = c.bar()
-        for u, d in _bar_t(w).terms.items():
-            acc[u] = acc.get(u, ZERO) + cb * d
-    return HeckeElt(a.r, "T", acc)
+    barred = {w: c.bar() for w, c in a.terms.items()}
+    return HeckeElt(a.r, "T", linear(barred, lambda w: _bar_t(w).terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +192,6 @@ def h_bar(a: HeckeElt) -> HeckeElt:
 
 _KL: dict[tuple[int, tuple, tuple], LaurentPoly] = {}
 _KL_STATS = {"hits": 0, "computed": 0, "loaded": 0}
-_KL_NEW: set[tuple[int, tuple, tuple]] = set()
 
 
 def kl_memo_stats() -> dict:
@@ -305,10 +250,9 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
         if not val.in_q() or val.min_degree() < 0 or (
             val.degree() > w.length - y.length - 1
         ):
-            raise AssertionError(f"KL recursion violated degree bounds at {key}: {val!r}")
+            raise KLInvariantViolation(f"KL recursion violated degree bounds at {key}: {val!r}")
     _KL[key] = val
     _KL_STATS["computed"] += 1
-    _KL_NEW.add(key)
     return val
 
 
@@ -367,11 +311,7 @@ def c_to_t(a: HeckeElt) -> HeckeElt:
     """Expand a C-basis element in the T-basis."""
     if a.basis != "C":
         raise BasisMismatch("c_to_t expects a C-basis element")
-    acc: dict[AffPerm, LaurentPoly] = {}
-    for w, g in a.terms.items():
-        for y, c in c_elt(w).terms.items():
-            acc[y] = acc.get(y, ZERO) + g * c
-    return HeckeElt(a.r, "T", acc)
+    return HeckeElt(a.r, "T", linear(a.terms, lambda w: c_elt(w).terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +356,6 @@ def x_lambda(lam: Composition) -> HeckeElt:
     return HeckeElt(lam.r, "T", {w: ONE for w in young_elements(lam)})
 
 
-@functools.lru_cache(maxsize=None)
-def y_lambda(lam: Composition) -> HeckeElt:
-    """y_lambda = j(x_lambda)."""
-    return j_inv(x_lambda(lam))
-
-
 def coset_sum_TD(triple: CosetTriple) -> HeckeElt:
     """T_D = sum of T_x over the double coset D."""
     return HeckeElt(triple.w.r, "T", {x: ONE for x in double_coset(triple)})
@@ -442,13 +376,11 @@ def psi(a: HeckeElt) -> HeckeElt:
     """The automorphism Psi: t -> -t, T_x -> (-q)^{l(x)} T_{x^{-1}}^{-1}."""
     if a.basis != "T":
         raise BasisMismatch("psi acts on T-basis elements")
-    acc: dict[AffPerm, LaurentPoly] = {}
-    for w, c in a.terms.items():
-        sign = -1 if w.length % 2 else 1
-        factor = c.neg_t() * t_pow(2 * w.length, sign)
-        for u, d in _bar_t(w).terms.items():
-            acc[u] = acc.get(u, ZERO) + factor * d
-    return HeckeElt(a.r, "T", acc)
+    factors = {
+        w: c.neg_t() * t_pow(2 * w.length, -1 if w.length % 2 else 1)
+        for w, c in a.terms.items()
+    }
+    return HeckeElt(a.r, "T", linear(factors, lambda w: _bar_t(w).terms.items()))
 
 
 def is_in_H_IJ(a: HeckeElt, lam: Composition, mu: Composition) -> bool:

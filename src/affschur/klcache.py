@@ -30,28 +30,16 @@ class KLCache:
 
     def load(self) -> "KLCache":
         """Read the file (if present) into the in-memory memo table."""
-        if not os.path.exists(self.path):
-            return self
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                        key = (rec["r"], tuple(rec["y"]), tuple(rec["w"]))
-                        poly = LaurentPoly.from_json(rec["P"])
-                    except (KeyError, TypeError, ValueError):
-                        self.corrupt += 1
-                        continue
-                    if hecke.kl_memo_insert(*key, poly):
-                        self.loaded += 1
-                    else:
-                        self.duplicates += 1
-                    self._persisted.add(key)
-        except OSError as exc:
-            raise CacheIoError(f"cannot read KL cache {self.path}: {exc}") from exc
+        for rec in _records(self.path):
+            if rec is None:
+                self.corrupt += 1
+                continue
+            key, poly = rec
+            if hecke.kl_memo_insert(*key, poly):
+                self.loaded += 1
+            else:
+                self.duplicates += 1
+            self._persisted.add(key)
         return self
 
     def save_new(self) -> int:
@@ -93,6 +81,29 @@ class KLCache:
         }
 
 
+def _records(path: str):
+    """Yield ((r, y, w), P) for each record of a cache file, None for each
+    corrupt line; a missing file has no records."""
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                    key = (rec["r"], tuple(rec["y"]), tuple(rec["w"]))
+                    poly = LaurentPoly.from_json(rec["P"])
+                except (KeyError, TypeError, ValueError):
+                    yield None
+                    continue
+                yield key, poly
+    except OSError as exc:
+        raise CacheIoError(f"cannot read KL cache {path}: {exc}") from exc
+
+
 def scan_stats(path: str) -> dict:
     """Inspect a cache file without touching the in-memory table."""
     records = 0
@@ -100,27 +111,16 @@ def scan_stats(path: str) -> dict:
     per_r: dict[int, int] = {}
     seen = set()
     duplicates = 0
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                        key = (rec["r"], tuple(rec["y"]), tuple(rec["w"]))
-                        LaurentPoly.from_json(rec["P"])
-                    except (KeyError, TypeError, ValueError):
-                        corrupt += 1
-                        continue
-                    records += 1
-                    per_r[rec["r"]] = per_r.get(rec["r"], 0) + 1
-                    if key in seen:
-                        duplicates += 1
-                    seen.add(key)
-        except OSError as exc:
-            raise CacheIoError(f"cannot read KL cache {path}: {exc}") from exc
+    for rec in _records(path):
+        if rec is None:
+            corrupt += 1
+            continue
+        key, _ = rec
+        records += 1
+        per_r[key[0]] = per_r.get(key[0], 0) + 1
+        if key in seen:
+            duplicates += 1
+        seen.add(key)
     return {
         "path": path,
         "exists": os.path.exists(path),

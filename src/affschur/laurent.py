@@ -4,7 +4,9 @@ This is the coefficient ring Z[t, 1/t] used everywhere else: Kazhdan-Lusztig
 polynomials live in q = t^2, structure constants are bar-symmetric Laurent
 polynomials in t, and the asymptotic ring extracts single coefficients.
 Coefficients are Python bignums, exponents are stored sparsely, and the zero
-polynomial is the empty dict.
+polynomial is the empty dict.  The algebras built over this ring are free
+modules with a distinguished basis; ``Combination`` is their shared element
+arithmetic and ``linear`` / ``bilinear`` extend maps defined on basis keys.
 
 >>> p = T + T**-1
 >>> p * p == T**2 + 2 + T**-2
@@ -17,12 +19,14 @@ True
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DivisionByZero, InexactDivision, ZeroBase
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "TINV", "Q", "QINV", "NEG_INF", "t_pow"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "T", "TINV", "Q", "QINV", "NEG_INF", "t_pow",
+           "Combination", "linear", "bilinear"]
 
 # degree of the zero polynomial
 NEG_INF = float("-inf")
@@ -269,7 +273,83 @@ def t_pow(exp: int, coeff: int = 1) -> LaurentPoly:
     return LaurentPoly({exp: coeff})
 
 
-if __name__ == "__main__":
-    import doctest
+# ---------------------------------------------------------------------------
+# Free Z[t, 1/t]-modules with a distinguished basis
 
-    doctest.testmod()
+
+class Combination:
+    """A finitely supported combination sum_k c_k b_k of basis keys b_k with
+    Laurent coefficients c_k: the shared arithmetic of the algebra elements.
+
+    Subclasses are frozen dataclasses (with eq=False) whose field ``terms``
+    maps keys to coefficients; every other field is the header that two
+    combinations must share to be equal.  Keys carry a ``sort_key``.  A
+    subclass supplies ``_validate`` (header checks), ``_check_compatible``
+    (mismatch errors for sums) and ``_key_json`` (the key serializer).
+    """
+
+    __hash__ = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", {k: c for k, c in self.terms.items() if not c.is_zero()})
+        self._validate()
+
+    def _header(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "terms"}
+
+    def coeff(self, key) -> LaurentPoly:
+        return self.terms.get(key, ZERO)
+
+    def support(self) -> list:
+        return sorted(self.terms, key=lambda k: k.sort_key)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._header() == other._header() and self.terms == other.terms
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, ZERO) + c
+        return replace(self, terms=terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c: "LaurentPoly | int"):
+        return replace(self, terms={k: v * c for k, v in self.terms.items()})
+
+    def to_json(self) -> dict:
+        out = self._header()
+        out["terms"] = [
+            dict(self._key_json(k), coeff=c.to_json())
+            for k, c in sorted(self.terms.items(), key=lambda p: p[0].sort_key)
+        ]
+        return out
+
+
+def linear(terms: Mapping, image: Callable[[object], Iterable[tuple]]) -> dict:
+    """sum_k c_k image(k) as a term dict, for image(k) given as (key, coeff) pairs."""
+    acc: dict = {}
+    for k, c in terms.items():
+        for k2, d in image(k):
+            acc[k2] = acc.get(k2, ZERO) + c * d
+    return acc
+
+
+def bilinear(
+    a: Mapping, b: Mapping, image: Callable[[object, object], Iterable[tuple]]
+) -> dict:
+    """sum_{x,y} a_x b_y image(x, y) as a term dict: the bilinear extension."""
+    acc: dict = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            cxy = cx * cy
+            for z, d in image(x, y):
+                acc[z] = acc.get(z, ZERO) + cxy * d
+    return acc

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
-from . import affperm, hecke
+from . import hecke
 from .affperm import AffPerm, bruhat_lower
 from .errors import BasisMismatch, NotInModule, PeriodMismatch
 from .hecke import HeckeElt, coset_sum_TD, h_bar, h_expansion, h_mul, t_elt
-from .laurent import ONE, ZERO, LaurentPoly, t_pow
+from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
 from .parabolic import (
     Composition,
     CosetTriple,
@@ -61,8 +61,8 @@ __all__ = [
 BASES = ("phi", "phihat", "theta", "e", "bracket")
 
 
-@dataclass(frozen=True)
-class SchurElt:
+@dataclass(frozen=True, eq=False)
+class SchurElt(Combination):
     """A finitely supported combination of basis elements of S_q(n, r)."""
 
     n: int
@@ -70,48 +70,22 @@ class SchurElt:
     basis: str
     terms: Mapping[PeriodicMatrix, LaurentPoly] = field(default_factory=dict)
 
-    def __post_init__(self):
-        clean = {A: c for A, c in self.terms.items() if not c.is_zero()}
-        object.__setattr__(self, "terms", clean)
+    def _validate(self) -> None:
         if self.basis not in BASES:
             raise BasisMismatch(f"unknown Schur basis tag {self.basis!r}")
-        for A in clean:
+        for A in self.terms:
             if A.n != self.n or A.r != self.r:
                 raise PeriodMismatch(f"matrix {A} does not live in (n,r)=({self.n},{self.r})")
 
-    def coeff(self, A: PeriodicMatrix) -> LaurentPoly:
-        return self.terms.get(A, ZERO)
+    def _check_compatible(self, other: "SchurElt") -> None:
+        if (self.n, self.r) != (other.n, other.r):
+            raise PeriodMismatch(f"(n,r) mismatch: {(self.n, self.r)} vs {(other.n, other.r)}")
+        if self.basis != other.basis:
+            raise BasisMismatch(f"bases {self.basis} and {other.basis} differ")
 
-    def support(self) -> list[PeriodicMatrix]:
-        return sorted(self.terms, key=lambda A: A.sort_key)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchurElt):
-            return NotImplemented
-        return (self.n, self.r, self.basis, dict(self.terms)) == (
-            other.n,
-            other.r,
-            other.basis,
-            dict(other.terms),
-        )
-
-    def __add__(self, other: "SchurElt") -> "SchurElt":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for A, c in other.terms.items():
-            terms[A] = terms.get(A, ZERO) + c
-        return SchurElt(self.n, self.r, self.basis, terms)
-
-    def __sub__(self, other: "SchurElt") -> "SchurElt":
-        return self + other.scale(-1)
-
-    def scale(self, c: "LaurentPoly | int") -> "SchurElt":
-        if isinstance(c, int):
-            c = LaurentPoly(c)
-        return SchurElt(self.n, self.r, self.basis, {A: v * c for A, v in self.terms.items()})
+    @staticmethod
+    def _key_json(A: PeriodicMatrix) -> dict:
+        return {"matrix": [list(e) for e in A.entries]}
 
     def __mul__(self, other: "SchurElt") -> "SchurElt":
         self._check_compatible(other)
@@ -120,26 +94,6 @@ class SchurElt:
         if self.basis == "theta":
             return theta_mul(self, other)
         raise BasisMismatch(f"no direct product in basis {self.basis!r}; convert first")
-
-    def map_coeffs(self, f: Callable[[LaurentPoly], LaurentPoly]) -> "SchurElt":
-        return SchurElt(self.n, self.r, self.basis, {A: f(c) for A, c in self.terms.items()})
-
-    def _check_compatible(self, other: "SchurElt") -> None:
-        if (self.n, self.r) != (other.n, other.r):
-            raise PeriodMismatch(f"(n,r) mismatch: {(self.n, self.r)} vs {(other.n, other.r)}")
-        if self.basis != other.basis:
-            raise BasisMismatch(f"bases {self.basis} and {other.basis} differ")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "basis": self.basis,
-            "terms": [
-                {"matrix": [list(e) for e in A.entries], "coeff": c.to_json()}
-                for A, c in sorted(self.terms.items(), key=lambda p: p[0].sort_key)
-            ],
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "SchurElt":
@@ -186,30 +140,6 @@ def poincare_h(mu: Composition) -> LaurentPoly:
 # The standard basis as endomorphisms of the induced modules
 
 
-def _decompose_over_x(h: HeckeElt, mu: Composition) -> dict[AffPerm, LaurentPoly]:
-    """Write h = sum_z c_z x_mu T_z (z minimal in W_mu z), or raise NotInModule."""
-    work = dict(h.terms)
-    out: dict[AffPerm, LaurentPoly] = {}
-    gens = mu.gens
-    while work:
-        w = min(work, key=lambda x: x.sort_key)
-        rep = w
-        changed = True
-        while changed:
-            changed = False
-            for i in rep.left_descents & gens:
-                rep = affperm.generator(rep.r, i) * rep
-                changed = True
-                break
-        c = work[w]
-        for u in young_elements(mu):
-            cx = work.pop(u * rep, ZERO)
-            if cx != c:
-                raise NotInModule(f"coefficients not constant on the coset of {rep}")
-        out[rep] = c
-    return out
-
-
 def _expand_in_TD(
     h: HeckeElt, lam: Composition, mu: Composition
 ) -> dict[AffPerm, LaurentPoly]:
@@ -231,12 +161,10 @@ def _expand_in_TD(
 def phi_apply(A: PeriodicMatrix, h: HeckeElt) -> HeckeElt:
     """Apply the standard basis endomorphism phi_A to h in x_mu H (mu = co(A))."""
     triple = triple_of_matrix(A)
-    parts = _decompose_over_x(h, triple.mu)
+    # W_mu z {e} is the right coset W_mu z, so this writes h = sum_z c_z x_mu T_z
+    parts = _expand_in_TD(h, triple.mu, Composition(h.r, (1,) * h.r))
     td = coset_sum_TD(triple)
-    acc = HeckeElt(h.r, "T", {})
-    for z, c in parts.items():
-        acc = acc + h_mul(td, t_elt(z)).scale(c)
-    return acc
+    return HeckeElt(h.r, "T", linear(parts, lambda z: h_mul(td, t_elt(z)).terms.items()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,11 +175,9 @@ def _phi_pair(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     if tA.mu != tB.lam:
         return ()
     mu = tA.mu
-    image = HeckeElt(A.r, "T", {})
     td_a = coset_sum_TD(tA)
-    for z in double_coset(tB):
-        if not (z.left_descents & mu.gens):
-            image = image + h_mul(td_a, t_elt(z))
+    zs = {z: ONE for z in double_coset(tB) if not (z.left_descents & mu.gens)}
+    image = HeckeElt(A.r, "T", linear(zs, lambda z: h_mul(td_a, t_elt(z)).terms.items()))
     reps = _expand_in_TD(image, tA.lam, tB.mu)
     return tuple(
         sorted(
@@ -268,13 +194,7 @@ def phi_mul(a: SchurElt, b: SchurElt) -> SchurElt:
     """Composition product of phi-basis elements (zero unless colors match)."""
     if a.basis != "phi" or b.basis != "phi":
         raise BasisMismatch("phi_mul expects phi-basis elements")
-    acc: dict[PeriodicMatrix, LaurentPoly] = {}
-    for A, ca in a.terms.items():
-        for B, cb in b.terms.items():
-            cab = ca * cb
-            for C, c in _phi_pair(A, B):
-                acc[C] = acc.get(C, ZERO) + cab * c
-    return SchurElt(a.n, a.r, "phi", acc)
+    return SchurElt(a.n, a.r, "phi", bilinear(a.terms, b.terms, _phi_pair))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +249,7 @@ def basis_convert(a: SchurElt, target: str) -> SchurElt:
                 {A: c * t_pow(-_phihat_scale(A)) for A, c in out.terms.items()},
             )
         elif src == "theta":
-            acc: dict[PeriodicMatrix, LaurentPoly] = {}
-            for B, c in out.terms.items():
-                for A, d in _theta_phihat(B):
-                    acc[A] = acc.get(A, ZERO) + c * d
-            out = SchurElt(a.n, a.r, "phihat", acc)
+            out = SchurElt(a.n, a.r, "phihat", linear(out.terms, _theta_phihat))
         # now out is in phihat
         if dst == "phi":
             out = SchurElt(
@@ -401,13 +317,7 @@ def theta_mul(a: SchurElt, b: SchurElt) -> SchurElt:
     """Product in the theta basis (bilinear extension of g_expansion)."""
     if a.basis != "theta" or b.basis != "theta":
         raise BasisMismatch("theta_mul expects theta-basis elements")
-    acc: dict[PeriodicMatrix, LaurentPoly] = {}
-    for A, ca in a.terms.items():
-        for B, cb in b.terms.items():
-            cab = ca * cb
-            for C, g in g_expansion(A, B):
-                acc[C] = acc.get(C, ZERO) + cab * g
-    return SchurElt(a.n, a.r, "theta", acc)
+    return SchurElt(a.n, a.r, "theta", bilinear(a.terms, b.terms, g_expansion))
 
 
 def theta_mul_lemma42(A: PeriodicMatrix, B: PeriodicMatrix) -> SchurElt:
@@ -458,13 +368,8 @@ def _bar_phi(B: PeriodicMatrix) -> tuple:
 
 def schur_bar(a: SchurElt) -> SchurElt:
     """The bar involution of the q-Schur algebra (semilinear, fixes every theta_B)."""
-    phi = basis_convert(a, "phi")
-    acc: dict[PeriodicMatrix, LaurentPoly] = {}
-    for B, c in phi.terms.items():
-        cb = c.bar()
-        for C, d in _bar_phi(B):
-            acc[C] = acc.get(C, ZERO) + cb * d
-    return basis_convert(SchurElt(a.n, a.r, "phi", acc), a.basis)
+    barred = {B: c.bar() for B, c in basis_convert(a, "phi").terms.items()}
+    return basis_convert(SchurElt(a.n, a.r, "phi", linear(barred, _bar_phi)), a.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +379,7 @@ def schur_bar(a: SchurElt) -> SchurElt:
 def theta_apply(B: PeriodicMatrix, h: HeckeElt) -> HeckeElt:
     """theta_B as a map x_mu H -> x_lam H (used to check theta_B(C_{w0mu}) = C_{w+})."""
     phi = basis_convert(theta_elt(B), "phi")
-    acc = HeckeElt(h.r, "T", {})
-    for A, c in phi.terms.items():
-        acc = acc + phi_apply(A, h).scale(c)
-    return acc
+    return HeckeElt(h.r, "T", linear(phi.terms, lambda A: phi_apply(A, h).terms.items()))
 
 
 def schur_identity(n: int, r: int) -> SchurElt:

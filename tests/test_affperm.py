@@ -5,6 +5,7 @@ Bruhat lifting recursion against a reduced-subword oracle, as independent
 routes to the same data.
 """
 
+import doctest
 import itertools
 import random
 
@@ -224,3 +225,8 @@ def test_windows_stay_valid_under_ops():
         u, v = rng.choice(elems), rng.choice(elems)
         w = (u * v).inverse * rho(3, rng.randint(-2, 2))
         AffPerm(w.r, w.window)  # revalidates invariants
+
+
+def test_module_doctests():
+    result = doctest.testmod(affperm)
+    assert result.attempted > 0 and result.failed == 0

@@ -184,6 +184,21 @@ def test_cache_truncated_line_and_stats(tmp_path, capsys):
     assert loaded.corrupt == 1
 
 
+def test_kl_invariant_failure_exits_verify(tmp_path):
+    # P_{e,w} = 1 + q^2 breaks the degree bound of the recursion above it; the
+    # record goes into the memo table, so run in a fresh process
+    path = tmp_path / "kl.jsonl"
+    path.write_text('{"r":2,"y":[1,2],"w":[3,0],"P":{"0":"1","4":"1"}}\n')
+    proc = subprocess.run(
+        [sys.executable, "-m", "affschur.cli", "klpoly", "--r", "2", "--y", "1,2",
+         "--w", "1,0,1", "--cache", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "degree bounds" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "affschur.cli", "length", "--w", "2,3"],

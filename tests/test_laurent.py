@@ -1,10 +1,12 @@
 """Unit and property tests for the Laurent polynomial ring."""
 
+import doctest
 import random
 from fractions import Fraction
 
 import pytest
 
+from affschur import laurent
 from affschur.errors import DivisionByZero, InexactDivision, ZeroBase
 from affschur.laurent import NEG_INF, ONE, Q, T, TINV, ZERO, LaurentPoly, t_pow
 
@@ -114,3 +116,8 @@ def test_json_roundtrip():
     assert p.to_json() == {"-1": "1", "1": "1"}
     assert LaurentPoly.from_json(p.to_json()) == p
     assert LaurentPoly.from_json({}) == ZERO
+
+
+def test_module_doctests():
+    result = doctest.testmod(laurent)
+    assert result.attempted > 0 and result.failed == 0

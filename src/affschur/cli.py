@@ -56,7 +56,10 @@ def _setting(args, name: str, cast=None):
         raw = _env(name)
         val = raw if raw is not None else DEFAULTS.get(name)
     if val is not None and cast is int and not isinstance(val, int):
-        val = int(val)
+        try:
+            val = int(val)
+        except ValueError:
+            raise UsageError(f"{ENV_PREFIX}{name.upper()}={val!r} is not an integer") from None
     return val
 
 
@@ -69,11 +72,10 @@ def _require(cfg, *names) -> None:
 def parse_omega_window(raw) -> tuple[int, int] | None:
     if raw is None:
         return None
-    if isinstance(raw, (tuple, list)):
-        lo, hi = raw
-    else:
-        lo, hi = raw.split(":")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = (int(p) for p in raw.split(":"))
+    except ValueError:
+        raise UsageError(f"omega window {raw!r} is not lo:hi with integers") from None
     if lo > hi:
         raise UsageError(f"omega window {lo}:{hi} is not ordered")
     return (lo, hi)
@@ -487,19 +489,18 @@ def main(argv: "list[str] | None" = None) -> int:
         # argparse uses exit code 2 for usage errors; remap --help passthrough
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
-    cfg = {
-        "r": _setting(args, "r", int),
-        "n": _setting(args, "n", int),
-        "L": _setting(args, "L", int),
-        "omega_window": None,
-        "cache": _setting(args, "cache"),
-        "format": _setting(args, "format"),
-    }
     cache = None
     try:
-        cfg["omega_window"] = parse_omega_window(
-            args.omega_window if args.omega_window is not None else _env("omega_window")
-        )
+        cfg = {
+            "r": _setting(args, "r", int),
+            "n": _setting(args, "n", int),
+            "L": _setting(args, "L", int),
+            "omega_window": parse_omega_window(
+                args.omega_window if args.omega_window is not None else _env("omega_window")
+            ),
+            "cache": _setting(args, "cache"),
+            "format": _setting(args, "format"),
+        }
         if cfg["cache"]:
             cache = klcache.KLCache(cfg["cache"]).load()
         code = args.fn(args, cfg)

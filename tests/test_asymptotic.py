@@ -1,7 +1,10 @@
 """Tests for the a-function, gamma, the asymptotic rings, cells, and Q-suite."""
 
+import collections
+
 import pytest
 
+from affschur import asymptotic
 from affschur.affperm import ball, from_word, generator, identity, rho
 from affschur.errors import UncertifiedAValue, UncertifiedBoundary
 from affschur.asymptotic import (
@@ -293,13 +296,64 @@ def test_based_ring_checks_window22():
     assert report["ok"], report["failures"]
 
 
-def test_q_suite_small_window():
-    out = q_suite(2, 2, 3, (-1, 1), q15_cap=120)
+# (window, q15_cap) -> (window size, checked count per property, Q15's
+# (checked, tuples_enumerated, held without hypothesis)); nothing is skipped
+Q_SUITE_COUNTS = {
+    ((1, 2, 3, (-1, 1)), 600): (
+        4,
+        dict(Q1=4, Q2=4, Q3=4, Q4=16, Q5=4, Q6=1, Q7=26, Q8=26, Q9=12, Q10=12, Q11=12, Q13=1,
+             Q14=4),
+        (81, 81, 0),
+    ),
+    ((2, 2, 2, (-1, 1)), 600): (
+        51,
+        dict(Q1=51, Q2=51, Q3=51, Q4=2457, Q5=51, Q6=5, Q7=1407, Q8=757, Q9=534, Q10=534,
+             Q11=2262, Q13=5, Q14=51),
+        (600, 131625, 60),
+    ),
+    ((2, 2, 3, (-1, 1)), 120): (
+        73,
+        dict(Q1=73, Q2=73, Q3=73, Q4=5119, Q5=73, Q6=5, Q7=3593, Q8=1937, Q9=1164, Q10=1164,
+             Q11=4836, Q13=5, Q14=73),
+        (120, 131625, 20),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "window,cap", list(Q_SUITE_COUNTS), ids=["n1-r2-L3", "n2-r2-L2", "n2-r2-L3-cap120"]
+)
+def test_q_suite_small_window(window, cap):
+    out = q_suite(*window, q15_cap=cap)
     assert out["ok"], out["counterexamples"]
     assert out["results"]["Q12"] == "absent-in-paper"
     assert all(
         out["results"][f"Q{i}"] == "pass" for i in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15)
     ), out["results"]
+    size, checked, (q15_checked, enumerated, held) = Q_SUITE_COUNTS[window, cap]
+    expected = {"window_size": size, "uncertified": 0}
+    expected.update({q: {"checked": c, "skipped": 0} for q, c in checked.items()})
+    expected["Q15"] = {
+        "checked": q15_checked,
+        "skipped": 0,
+        "tuples_enumerated": enumerated,
+        "without_hypothesis": {"held": held, "failed": 0},
+    }
+    assert out["details"] == expected
+
+
+def test_window_computes_gamma_once_per_pair(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(A, B, length_bound=4):
+        calls[A, B] += 1
+        return gamma_mat_expansion(A, B, length_bound)
+
+    monkeypatch.setattr(asymptotic, "gamma_mat_expansion", counting)
+    for run in (q_suite, based_ring_checks):
+        calls.clear()
+        run(2, 2, 2, (-1, 1))
+        assert calls and max(calls.values()) == 1, run.__name__
 
 
 def test_gamma_refuses_uncertifiable_values():

@@ -126,6 +126,9 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "length", "--w", "1,3")  # repeated residue
     assert code == 2
+    for window in ("1:2:3", "2:1", "a:1", "5"):
+        code, _, err = run_cli(capsys, "length", "--w", "3,0", f"--omega-window={window}")
+        assert code == 1 and err.startswith("usage error:"), (window, err)
 
 
 def test_env_overrides(capsys, monkeypatch):
@@ -138,6 +141,12 @@ def test_env_overrides(capsys, monkeypatch):
     # flags win over env
     code, out, _ = run_cli(capsys, "length", "--w", "0,3", "--format", "json")
     assert code == 0 and out.startswith('{"')
+    # malformed numeric settings are usage errors, not tracebacks
+    for name, raw in (("AFFSCHUR_L", "abc"), ("AFFSCHUR_OMEGA_WINDOW", "1:2:3")):
+        monkeypatch.setenv(name, raw)
+        code, _, err = run_cli(capsys, "length", "--w", "3,0")
+        assert code == 1 and err.startswith("usage error:"), (name, err)
+        monkeypatch.delenv(name)
 
 
 def test_output_formats_are_stable(capsys):

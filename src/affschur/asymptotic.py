@@ -32,9 +32,9 @@ from .parabolic import (
     PeriodicMatrix,
     compositions,
     enumerate_theta,
+    is_max_double_rep,
     matrix_of_triple,
     min_double_rep,
-    plus_rep,
     sigma_plus,
 )
 from .schur import g_expansion, g_struct
@@ -277,10 +277,8 @@ def dinv_schur_colored(
     """D_Delta(n,r)_mu: distinguished matrices with ro = co = mu, via the Hecke D."""
     out = []
     for d in distinguished_involutions(r if r >= 2 else 1, length_bound):
-        if mu.gens <= d.left_descents and mu.gens <= d.right_descents:
-            t = CosetTriple(mu, min_double_rep(d, mu, mu), mu)
-            if plus_rep(t) == d:
-                out.append(matrix_of_triple(t))
+        if is_max_double_rep(d, mu, mu):
+            out.append(matrix_of_triple(CosetTriple(mu, min_double_rep(d, mu, mu), mu)))
     return tuple(sorted(set(out), key=lambda A: A.sort_key))
 
 
@@ -523,6 +521,8 @@ def cell_preorder(
             for c in items:
                 if is_hecke:
                     support = h_expansion(c, b).keys()
+                elif c.co != b.ro:
+                    continue  # theta_c theta_b = 0
                 else:
                     support = (C for C, _ in g_expansion(c, b))
                 for a in support:

@@ -39,6 +39,7 @@ EXIT_UNCERTIFIED = 4
 ENV_PREFIX = "AFFSCHUR_"
 DEFAULTS = {"r": None, "n": None, "L": 4, "omega_window": None, "cache": None,
             "format": "json"}
+FORMATS = ("json", "csv", "pretty")
 
 
 class UsageError(Exception):
@@ -153,6 +154,7 @@ def _flatten(obj, prefix="") -> list[tuple[str, str]]:
 
 
 def emit(obj, fmt: str) -> None:
+    """Print obj in one of FORMATS (checked by main before any command runs)."""
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=None))
     elif fmt == "csv":
@@ -160,10 +162,8 @@ def emit(obj, fmt: str) -> None:
         for k, v in _flatten(obj):
             v = v.replace('"', '""')
             print(f'{k},"{v}"')
-    elif fmt == "pretty":
-        print(json.dumps(obj, sort_keys=True, indent=2))
     else:
-        raise UsageError(f"unknown output format {fmt!r}")
+        print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--omega-window", default=None, metavar="lo:hi",
                         help="rho-power range for enumerations")
     common.add_argument("--cache", default=None, help="path of the KL JSON-lines cache")
-    common.add_argument("--format", default=None, choices=("json", "csv", "pretty"))
+    common.add_argument("--format", default=None, choices=FORMATS)
 
     p = argparse.ArgumentParser(
         prog="affschur",
@@ -501,6 +501,8 @@ def main(argv: "list[str] | None" = None) -> int:
             "cache": _setting(args, "cache"),
             "format": _setting(args, "format"),
         }
+        if cfg["format"] not in FORMATS:
+            raise UsageError(f"unknown output format {cfg['format']!r}")
         if cfg["cache"]:
             cache = klcache.KLCache(cfg["cache"]).load()
         code = args.fn(args, cfg)

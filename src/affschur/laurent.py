@@ -43,21 +43,6 @@ class LaurentPoly:
         else:
             self._c = {e: c for e, c in coeffs.items() if c}
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return ZERO
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return ONE
-
-    @staticmethod
-    def t_power(exp: int, coeff: int = 1) -> "LaurentPoly":
-        """The monomial coeff * t^exp."""
-        return LaurentPoly({exp: coeff})
-
     # -- basic protocol ------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -205,9 +190,6 @@ class LaurentPoly:
     def in_q(self) -> bool:
         """True if every exponent is even, i.e. the value lies in Z[q, 1/q]."""
         return all(e % 2 == 0 for e in self._c)
-
-    def is_constant(self) -> bool:
-        return not self._c or set(self._c) == {0}
 
     # -- evaluation and division ------------------------------------------
 

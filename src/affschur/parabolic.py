@@ -26,6 +26,7 @@ __all__ = [
     "young_elements",
     "longest_in_parabolic",
     "is_min_double_rep",
+    "is_max_double_rep",
     "min_double_rep",
     "double_coset",
     "plus_rep",
@@ -149,21 +150,34 @@ def is_min_double_rep(w: AffPerm, lam: Composition, mu: Composition) -> bool:
     return not (lam.gens & w.left_descents) and not (mu.gens & w.right_descents)
 
 
+def is_max_double_rep(w: AffPerm, lam: Composition, mu: Composition) -> bool:
+    """True iff w is longest in W_lambda w W_mu (all of I(lam) left / I(mu) right descents)."""
+    return lam.gens <= w.left_descents and mu.gens <= w.right_descents
+
+
+def _walk(w: AffPerm, lam: Composition, mu: Composition, up: bool) -> AffPerm:
+    """Greedy walk to one end of W_lambda w W_mu.
+
+    Each step multiplies by s in I(lam) on the left or I(mu) on the right and
+    changes the length by one: down while a descent is left, up while an ascent
+    is left.  The coset is finite and its only element without descents
+    (ascents) is the shortest (longest) one, so that is where the walk stops.
+    """
+    def steps(gens, descents):
+        return gens - descents if up else gens & descents
+
+    while True:
+        if left := steps(lam.gens, w.left_descents):
+            w = affperm.generator(w.r, min(left)) * w
+        elif right := steps(mu.gens, w.right_descents):
+            w = w * affperm.generator(w.r, min(right))
+        else:
+            return w
+
+
 def min_double_rep(w: AffPerm, lam: Composition, mu: Composition) -> AffPerm:
     """The unique shortest element of W_lambda w W_mu, by greedy descent stripping."""
-    changed = True
-    while changed:
-        changed = False
-        for i in w.left_descents & lam.gens:
-            w = affperm.generator(w.r, i) * w
-            changed = True
-            break
-        else:
-            for i in w.right_descents & mu.gens:
-                w = w * affperm.generator(w.r, i)
-                changed = True
-                break
-    return w
+    return _walk(w, lam, mu, up=False)
 
 
 @dataclass(frozen=True)
@@ -193,13 +207,8 @@ def double_coset(triple: CosetTriple) -> frozenset[AffPerm]:
 
 @functools.lru_cache(maxsize=None)
 def plus_rep(triple: CosetTriple) -> AffPerm:
-    """The unique longest element of the double coset."""
-    coset = double_coset(triple)
-    top = max(coset, key=lambda x: x.length)
-    ties = [x for x in coset if x.length == top.length]
-    if len(ties) != 1:
-        raise InvalidMatrix(f"double coset of {triple} has no unique longest element")
-    return top
+    """The unique longest element of the double coset, by greedy ascent."""
+    return _walk(triple.w, triple.lam, triple.mu, up=True)
 
 
 @dataclass(frozen=True)
@@ -261,9 +270,6 @@ class PeriodicMatrix:
             shift = j - jbar
             ent.append((jbar, i - shift, a))
         return PeriodicMatrix(self.n, tuple(ent))
-
-    def is_diagonal(self) -> bool:
-        return all(i == j for i, j, _ in self.entries)
 
     @property
     def sort_key(self) -> tuple:
@@ -385,7 +391,9 @@ def enumerate_theta(
     """All matrices A with l(w_A^+) <= length_bound and rho-power in omega_window.
 
     Every length class of W is infinite under Omega, so the rho-power range
-    must be bounded explicitly; it defaults to [-r, r].
+    must be bounded explicitly; it defaults to [-r, r].  Each matrix is found
+    once, through its longest representative w_A^+ = u rho^a with u in the
+    length ball.
     """
     if omega_window is None:
         omega_window = (-r, r)
@@ -398,10 +406,7 @@ def enumerate_theta(
         for mu in comps:
             for u in affperm.ball(r, length_bound):
                 for a in range(lo, hi + 1):
-                    w = u.shift(a)
-                    if not is_min_double_rep(w, lam, mu):
-                        continue
-                    triple = CosetTriple(lam, w, mu)
-                    if plus_rep(triple).length <= length_bound:
-                        out.add(matrix_of_triple(triple))
+                    z = u.shift(a)
+                    if is_max_double_rep(z, lam, mu):
+                        out.add(matrix_of_triple(CosetTriple(lam, min_double_rep(z, lam, mu), mu)))
     return tuple(sorted(out, key=lambda A: A.sort_key))

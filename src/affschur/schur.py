@@ -27,6 +27,7 @@ from .parabolic import (
     PeriodicMatrix,
     compositions,
     double_coset,
+    is_max_double_rep,
     longest_in_parabolic,
     matrix_of_triple,
     min_double_rep,
@@ -158,6 +159,13 @@ def _expand_in_TD(
     return out
 
 
+def _phi_terms(h: HeckeElt, lam: Composition, mu: Composition) -> tuple:
+    """h in H_{lam,mu} as phi-basis terms: a tuple of (matrix, coeff) sorted by matrix."""
+    reps = _expand_in_TD(h, lam, mu)
+    terms = ((matrix_of_triple(CosetTriple(lam, rep, mu)), c) for rep, c in reps.items())
+    return tuple(sorted(terms, key=lambda p: p[0].sort_key))
+
+
 def phi_apply(A: PeriodicMatrix, h: HeckeElt) -> HeckeElt:
     """Apply the standard basis endomorphism phi_A to h in x_mu H (mu = co(A))."""
     triple = triple_of_matrix(A)
@@ -178,16 +186,7 @@ def _phi_pair(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     td_a = coset_sum_TD(tA)
     zs = {z: ONE for z in double_coset(tB) if not (z.left_descents & mu.gens)}
     image = HeckeElt(A.r, "T", linear(zs, lambda z: h_mul(td_a, t_elt(z)).terms.items()))
-    reps = _expand_in_TD(image, tA.lam, tB.mu)
-    return tuple(
-        sorted(
-            (
-                (matrix_of_triple(CosetTriple(tA.lam, rep, tB.mu)), c)
-                for rep, c in reps.items()
-            ),
-            key=lambda p: p[0].sort_key,
-        )
-    )
+    return _phi_terms(image, tA.lam, tB.mu)
 
 
 def phi_mul(a: SchurElt, b: SchurElt) -> SchurElt:
@@ -216,7 +215,7 @@ def _theta_phihat(B: PeriodicMatrix) -> tuple:
     wp = plus_rep(tB)
     out = []
     for zp in bruhat_lower(wp):
-        if not (lam.gens <= zp.left_descents and mu.gens <= zp.right_descents):
+        if not is_max_double_rep(zp, lam, mu):
             continue
         z = min_double_rep(zp, lam, mu)
         coeff = t_pow(zp.length - wp.length) * hecke.kl_poly(zp, wp)
@@ -293,9 +292,9 @@ def g_expansion(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     hmu = poincare_h(mu)
     out = []
     for z, h in h_expansion(plus_rep(tA), plus_rep(tB)).items():
-        t = CosetTriple(lam, min_double_rep(z, lam, nu), nu)
-        if plus_rep(t) != z:
+        if not is_max_double_rep(z, lam, nu):
             raise NotInModule(f"product term {z} is not maximal in its double coset")
+        t = CosetTriple(lam, min_double_rep(z, lam, nu), nu)
         out.append((matrix_of_triple(t), h.exact_div(hmu)))
     return tuple(sorted(out, key=lambda p: p[0].sort_key))
 
@@ -354,16 +353,7 @@ def _bar_phi(B: PeriodicMatrix) -> tuple:
     # bar(phi_B)(C_{w0mu}) = bar(phi_B(C_{w0mu})) = t^{-l(w0mu)} bar(T_{D_B});
     # matching against phi_z(C_{w0mu}) = t^{-l(w0mu)} T_{D_z} leaves q^{l(w0mu)}.
     g = h_bar(coset_sum_TD(tB)).scale(t_pow(2 * longest_in_parabolic(mu).length))
-    reps = _expand_in_TD(g, lam, mu)
-    return tuple(
-        sorted(
-            (
-                (matrix_of_triple(CosetTriple(lam, rep, mu)), c)
-                for rep, c in reps.items()
-            ),
-            key=lambda p: p[0].sort_key,
-        )
-    )
+    return _phi_terms(g, lam, mu)
 
 
 def schur_bar(a: SchurElt) -> SchurElt:

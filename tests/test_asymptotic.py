@@ -356,6 +356,18 @@ def test_window_computes_gamma_once_per_pair(monkeypatch):
         assert calls and max(calls.values()) == 1, run.__name__
 
 
+def test_cell_preorder_multiplies_only_composable_pairs(monkeypatch):
+    pairs = []
+
+    def recording(A, B):
+        pairs.append((A, B))
+        return g_expansion(A, B)
+
+    monkeypatch.setattr(asymptotic, "g_expansion", recording)
+    cell_preorder(enumerate_theta(2, 2, 2, (-1, 1)), "LR", 2)
+    assert pairs and all(A.co == B.ro for A, B in pairs)
+
+
 def test_gamma_refuses_uncertifiable_values():
     # at r = 3, a(s0 s1) = 1 sits strictly below both ceilings (nu = 3,
     # Delta = 2), so no scan radius can ever certify it

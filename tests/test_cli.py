@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line surface and the disk cache."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from affschur import hecke
+from affschur import asymptotic, hecke
 from affschur.cli import main
 from affschur.klcache import KLCache, scan_stats
+
+_M = json.dumps({"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]})
+_WINDOW = ("--n", "2", "--r", "2", "--L", "2", "--omega-window=-1:1")
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +153,17 @@ def test_env_overrides(capsys, monkeypatch):
         monkeypatch.delenv(name)
 
 
+def test_unknown_format_rejected_before_computing(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the Q-suite ran before the format was checked")
+
+    monkeypatch.setattr(asymptotic, "q_suite", fail)
+    monkeypatch.setenv("AFFSCHUR_FORMAT", "xml")
+    code, out, err = run_cli(capsys, "qsuite", *_WINDOW)
+    assert code == 1 and out == ""
+    assert err.strip() == "usage error: unknown output format 'xml'"
+
+
 def test_output_formats_are_stable(capsys):
     outs = set()
     for _ in range(2):
@@ -216,3 +231,33 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["l"] == 0
+
+
+# The first 16 hex digits of the SHA-256 of stdout (the benchmark's digest
+# scheme) for runs that exit 0: the CLI's output is byte-stable, so a refactor
+# must leave every one of these unchanged.
+GOLDEN_CLI = [
+    (("cosets", "--lam", "2,0", "--mu", "2,0", "--w", "0,3"), "d5828a7c08fd6727"),
+    (("cosets", "--lam", "1,2", "--mu", "2,1", "--w", "3,1,2^1"), "a112018b5c4a9c44"),
+    (("matrix", "--lam", "1,1", "--mu", "1,1", "--w", "0,3"), "8d8704b1692108ae"),
+    (("triple", "--A", '{"n":2,"entries":[[1,0,1],[2,3,1]]}'), "6ae8e090e388afff"),
+    (("theta", "--A", _M, "--basis", "phi"), "37c89a42b6c26675"),
+    (("gstruct", "--A", _M, "--B", _M, "--C", _M), "51592bb6d30671b0"),
+    (("phi-map", "--A", _M), "9415fe269efc9833"),
+    (("gamma", "--A", _M, "--B", _M, "--C", _M), "0a91f44ca27c9eb4"),
+    (("dinv", "--n", "2", "--r", "2", "--L", "3", "--omega-window=-1:1"), "fb9c1f949c1c0d0c"),
+    (("dinv", "--r", "2", "--L", "4"), "3667999d141d39b8"),
+    (("cells", *_WINDOW, "--flavor", "LR"), "97f78c04d402c4be"),
+    (("cells", *_WINDOW, "--flavor", "R"), "f9a08866fc1e1d87"),
+    (("lowest-cell", "--n", "2", "--r", "2", "--L", "3", "--omega-window=-1:1"), "a8bc1fb333be1ad6"),
+    (("qsuite", *_WINDOW), "ebd78614b2bdc0aa"),
+    (("qsuite", "--n", "1", "--r", "2", "--L", "3", "--omega-window=-1:1"), "9e84780d3efa98c9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_CLI,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(GOLDEN_CLI)])
+def test_golden_cli_stdout(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affschur.affperm import from_word, generator, identity, rho
 from affschur.errors import InvalidMatrix
@@ -15,6 +17,7 @@ from affschur.parabolic import (
     d_A_coxeter,
     double_coset,
     enumerate_theta,
+    is_max_double_rep,
     is_min_double_rep,
     longest_in_parabolic,
     matrix_of_triple,
@@ -119,6 +122,35 @@ def test_plus_rep_has_full_descents():
                 p = plus_rep(t)
                 assert lam.gens <= p.left_descents
                 assert mu.gens <= p.right_descents
+
+
+@st.composite
+def coset_cases(draw):
+    """(lam, w, mu) with r in 1..4, n in 1..3 and w a random word times a rho-power."""
+    r = draw(st.integers(1, 4))
+    comps = compositions(draw(st.integers(1, 3)), r)
+    lam, mu = draw(st.sampled_from(comps)), draw(st.sampled_from(comps))
+    word = draw(st.lists(st.integers(0, r - 1), max_size=6)) if r >= 2 else []
+    return lam, from_word(r, draw(st.integers(-2, 2)), word), mu
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(coset_cases())
+def test_greedy_coset_ends_match_enumeration(case):
+    lam, w, mu = case
+    t = CosetTriple(lam, min_double_rep(w, lam, mu), mu)
+    coset = double_coset(t)
+    assert w in coset
+    top = plus_rep(t)
+    lengths = [x.length for x in coset]
+    assert [x for x in coset if x.length == min(lengths)] == [t.w]
+    assert [x for x in coset if x.length == max(lengths)] == [top]
+    for x in coset:
+        assert is_min_double_rep(x, lam, mu) == (x == t.w)
+        assert is_max_double_rep(x, lam, mu) == (x == top)
+    A = matrix_of_triple(t)
+    assert triple_of_matrix(A) == t
+    assert d_A_combinatorial(A) == d_A_coxeter(A)
 
 
 def test_matrix_of_triple_examples():

@@ -49,6 +49,14 @@ class AffPerm:
         if len({v % self.r for v in self.window}) != self.r:
             raise InvalidWindow(f"window {self.window} repeats a residue mod {self.r}")
 
+    @staticmethod
+    def _unchecked(r: int, window: tuple[int, ...]) -> "AffPerm":
+        # For results of group operations on valid elements: skips validation.
+        w = object.__new__(AffPerm)
+        object.__setattr__(w, "r", r)
+        object.__setattr__(w, "window", window)
+        return w
+
     # -- evaluation and group law ----------------------------------------
 
     def apply(self, i: int) -> int:
@@ -62,7 +70,8 @@ class AffPerm:
             return NotImplemented
         if self.r != other.r:
             raise PeriodMismatch(f"periods {self.r} and {other.r} differ")
-        return AffPerm(self.r, tuple(self.apply(v) for v in other.window))
+        r, win = self.r, self.window
+        return AffPerm._unchecked(r, tuple(win[(v - 1) % r] + (v - 1) // r * r for v in other.window))
 
     @functools.cached_property
     def inverse(self) -> "AffPerm":
@@ -71,7 +80,7 @@ class AffPerm:
             j = (v - 1) % self.r
             # w(i) = (j+1) + k*r  =>  w^{-1}(j+1) = i - k*r
             win[j] = i - (v - 1 - j)
-        return AffPerm(self.r, tuple(win))
+        return AffPerm._unchecked(self.r, tuple(win))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.window, start=1))
@@ -117,13 +126,15 @@ class AffPerm:
     def omega_split(self) -> tuple[int, "AffPerm"]:
         """Write self as rho^a * u with u in W'; returns (a, u)."""
         a = self.omega_degree
-        return a, AffPerm(self.r, tuple(v - a for v in self.window))
+        if a == 0:
+            return 0, self
+        return a, AffPerm._unchecked(self.r, tuple(v - a for v in self.window))
 
     def shift(self, a: int) -> "AffPerm":
         """Left-multiply by rho^a (add a to every window entry)."""
         if a == 0:
             return self
-        return AffPerm(self.r, tuple(v + a for v in self.window))
+        return AffPerm._unchecked(self.r, tuple(v + a for v in self.window))
 
     def reduced_word(self) -> tuple[int, tuple[int, ...]]:
         """A reduced factorization rho^a * s_{i1} ... s_{ik}; returns (a, word).
@@ -184,7 +195,7 @@ def rho_conjugate(w: AffPerm, k: int) -> AffPerm:
     for i in range(1, w.r + 1):
         j = (i - k - 1) % w.r
         win[i - 1] = w.window[j] + (i - k - 1 - j) + k
-    return AffPerm(w.r, tuple(win))
+    return AffPerm._unchecked(w.r, tuple(win))
 
 
 @functools.lru_cache(maxsize=None)

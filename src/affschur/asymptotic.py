@@ -28,13 +28,11 @@ from .hecke import h_expansion, kl_poly
 from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear
 from .parabolic import (
     Composition,
-    CosetTriple,
     PeriodicMatrix,
     compositions,
     enumerate_theta,
     is_max_double_rep,
-    matrix_of_triple,
-    min_double_rep,
+    matrix_of,
     sigma_plus,
 )
 from .schur import g_expansion, g_struct
@@ -278,7 +276,7 @@ def dinv_schur_colored(
     out = []
     for d in distinguished_involutions(r if r >= 2 else 1, length_bound):
         if is_max_double_rep(d, mu, mu):
-            out.append(matrix_of_triple(CosetTriple(mu, min_double_rep(d, mu, mu), mu)))
+            out.append(matrix_of(mu, d, mu))
     return tuple(sorted(set(out), key=lambda A: A.sort_key))
 
 

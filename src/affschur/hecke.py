@@ -234,15 +234,17 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
     elif not bruhat_leq(y, w):
         val = ZERO
     else:
-        s = affperm.generator(w.r, min(w.left_descents))
+        i = min(w.left_descents)
+        s = affperm.generator(w.r, i)
         v = s * w
         sy = s * y
-        if sy.length < y.length:
+        if i in y.left_descents:
             val = _kl(sy, v) + Q * _kl(y, v)
         else:
             val = Q * _kl(sy, v) + _kl(y, v)
+        # y, z and v all lie in W', so Bruhat order needs no rho-split here
         for z in bruhat_lower(v):
-            if (s * z).length < z.length and bruhat_leq(y, z):
+            if i in z.left_descents and affperm._leq_coxeter(y, z):
                 mu = kl_mu(z, v)
                 if mu:
                     val = val - mu * t_pow(w.length - z.length) * _kl(y, z)

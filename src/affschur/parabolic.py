@@ -30,6 +30,7 @@ __all__ = [
     "min_double_rep",
     "double_coset",
     "plus_rep",
+    "matrix_of",
     "matrix_of_triple",
     "triple_of_matrix",
     "d_A_combinatorial",
@@ -295,9 +296,11 @@ class PeriodicMatrix:
 
 
 @functools.lru_cache(maxsize=None)
-def matrix_of_triple(triple: CosetTriple) -> PeriodicMatrix:
-    """The matrix A = (|R_k^lam  intersect  w R_l^mu|) of a coset triple."""
-    lam, w, mu = triple.lam, triple.w, triple.mu
+def matrix_of(lam: Composition, w: AffPerm, mu: Composition) -> PeriodicMatrix:
+    """The matrix A = (|R_k^lam  intersect  w R_l^mu|) of W_lambda w W_mu.
+
+    W_lambda and W_mu map every block onto itself, so any w in the coset gives A.
+    """
     winv = w.inverse
     counts: dict[tuple[int, int], int] = {}
     for m in range(1, lam.r + 1):
@@ -305,6 +308,11 @@ def matrix_of_triple(triple: CosetTriple) -> PeriodicMatrix:
         l = mu.block_of(winv.apply(m))
         counts[(k, l)] = counts.get((k, l), 0) + 1
     return PeriodicMatrix(lam.n, tuple((k, l, a) for (k, l), a in counts.items()))
+
+
+def matrix_of_triple(triple: CosetTriple) -> PeriodicMatrix:
+    """The matrix of a coset triple."""
+    return matrix_of(triple.lam, triple.w, triple.mu)
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,5 +416,5 @@ def enumerate_theta(
                 for a in range(lo, hi + 1):
                     z = u.shift(a)
                     if is_max_double_rep(z, lam, mu):
-                        out.add(matrix_of_triple(CosetTriple(lam, min_double_rep(z, lam, mu), mu)))
+                        out.add(matrix_of(lam, z, mu))
     return tuple(sorted(out, key=lambda A: A.sort_key))

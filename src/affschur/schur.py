@@ -29,7 +29,7 @@ from .parabolic import (
     double_coset,
     is_max_double_rep,
     longest_in_parabolic,
-    matrix_of_triple,
+    matrix_of,
     min_double_rep,
     plus_rep,
     triple_of_matrix,
@@ -162,7 +162,7 @@ def _expand_in_TD(
 def _phi_terms(h: HeckeElt, lam: Composition, mu: Composition) -> tuple:
     """h in H_{lam,mu} as phi-basis terms: a tuple of (matrix, coeff) sorted by matrix."""
     reps = _expand_in_TD(h, lam, mu)
-    terms = ((matrix_of_triple(CosetTriple(lam, rep, mu)), c) for rep, c in reps.items())
+    terms = ((matrix_of(lam, rep, mu), c) for rep, c in reps.items())
     return tuple(sorted(terms, key=lambda p: p[0].sort_key))
 
 
@@ -217,9 +217,8 @@ def _theta_phihat(B: PeriodicMatrix) -> tuple:
     for zp in bruhat_lower(wp):
         if not is_max_double_rep(zp, lam, mu):
             continue
-        z = min_double_rep(zp, lam, mu)
         coeff = t_pow(zp.length - wp.length) * hecke.kl_poly(zp, wp)
-        out.append((matrix_of_triple(CosetTriple(lam, z, mu)), coeff))
+        out.append((matrix_of(lam, zp, mu), coeff))
     return tuple(sorted(out, key=lambda p: p[0].sort_key))
 
 
@@ -294,8 +293,7 @@ def g_expansion(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     for z, h in h_expansion(plus_rep(tA), plus_rep(tB)).items():
         if not is_max_double_rep(z, lam, nu):
             raise NotInModule(f"product term {z} is not maximal in its double coset")
-        t = CosetTriple(lam, min_double_rep(z, lam, nu), nu)
-        out.append((matrix_of_triple(t), h.exact_div(hmu)))
+        out.append((matrix_of(lam, z, nu), h.exact_div(hmu)))
     return tuple(sorted(out, key=lambda p: p[0].sort_key))
 
 
@@ -325,9 +323,7 @@ def theta_mul_lemma42(A: PeriodicMatrix, B: PeriodicMatrix) -> SchurElt:
     tB = triple_of_matrix(B)
     if not tA.w.is_identity() or not (tA.lam.gens <= tA.mu.gens) or tA.mu != tB.lam:
         raise NotInModule("lemma 4.2 fast path needs A = (lam,1,mu) with W_lam <= W_mu")
-    wprime = min_double_rep(plus_rep(tB), tA.lam, tB.mu)
-    C = matrix_of_triple(CosetTriple(tA.lam, wprime, tB.mu))
-    return theta_elt(C)
+    return theta_elt(matrix_of(tA.lam, plus_rep(tB), tB.mu))
 
 
 def theta_mul_lemma61(A: PeriodicMatrix, B: PeriodicMatrix) -> SchurElt:
@@ -336,9 +332,7 @@ def theta_mul_lemma61(A: PeriodicMatrix, B: PeriodicMatrix) -> SchurElt:
     tB = triple_of_matrix(B)
     if not tB.w.is_identity() or not (tB.mu.gens <= tB.lam.gens) or tA.mu != tB.lam:
         raise NotInModule("lemma 6.1 fast path needs B = (mu,1,nu) with W_nu <= W_mu")
-    wprime = min_double_rep(plus_rep(tA), tA.lam, tB.mu)
-    C = matrix_of_triple(CosetTriple(tA.lam, wprime, tB.mu))
-    return theta_elt(C)
+    return theta_elt(matrix_of(tA.lam, plus_rep(tA), tB.mu))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +382,5 @@ def omega_comp(n: int, r: int) -> Composition:
 def embed_hecke(h: HeckeElt, n: int) -> SchurElt:
     """The embedding T_w -> phi_{omega,omega}^w of the Hecke algebra (n >= r)."""
     om = omega_comp(n, h.r)
-    terms = {
-        matrix_of_triple(CosetTriple(om, w, om)): c for w, c in h.terms.items()
-    }
+    terms = {matrix_of(om, w, om): c for w, c in h.terms.items()}
     return SchurElt(n, h.r, "phi", terms)

@@ -10,6 +10,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affschur import affperm
 from affschur.affperm import (
@@ -138,11 +140,13 @@ def test_descents():
 
 
 def test_descents_match_length_drop():
-    for w in ball(3, 4):
-        for i in range(3):
-            s = generator(3, i)
-            assert (i in w.right_descents) == ((w * s).length < w.length)
-            assert (i in w.left_descents) == ((s * w).length < w.length)
+    # the KL recursion reads descents from these sets instead of multiplying
+    for r, bound in ((2, 8), (3, 6), (4, 4)):
+        for w in ball(r, bound):
+            for i in range(r):
+                s = generator(r, i)
+                assert (i in w.right_descents) == ((w * s).length < w.length)
+                assert (i in w.left_descents) == ((s * w).length < w.length)
 
 
 def test_reduced_word_examples():
@@ -225,6 +229,29 @@ def test_windows_stay_valid_under_ops():
         u, v = rng.choice(elems), rng.choice(elems)
         w = (u * v).inverse * rho(3, rng.randint(-2, 2))
         AffPerm(w.r, w.window)  # revalidates invariants
+
+
+@st.composite
+def perm_pairs(draw):
+    """Two elements of one W with r in 1..4, each a random word times a rho-power."""
+    r = draw(st.integers(1, 4))
+    words = st.lists(st.integers(0, r - 1), max_size=8) if r >= 2 else st.just([])
+    x, y = (from_word(r, draw(st.integers(-3, 3)), draw(words)) for _ in range(2))
+    return x, y, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(perm_pairs())
+def test_unchecked_results_pass_validation(case):
+    # products, inverses, splits, shifts and conjugates skip validation;
+    # rebuilding each through the public constructor must give an equal element
+    x, y, k = case
+    a, u = x.omega_split()
+    results = [x * y, x.inverse, u, x.shift(k), rho_conjugate(x, k)]
+    for res in results:
+        assert type(res.window) is tuple
+        assert AffPerm(res.r, res.window) == res
+    assert rho(x.r, a) * u == x and u.omega_degree == 0
 
 
 def test_module_doctests():

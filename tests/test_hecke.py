@@ -6,6 +6,8 @@ and positivity/symmetry of the structure constants as further cross-checks.
 """
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -301,3 +303,30 @@ def test_is_in_H_IJ_r3_plus_reps():
     wp = plus_rep(CosetTriple(lam, w, mu))
     assert is_in_H_IJ(c_elt(wp), lam, mu)
     assert not is_in_H_IJ(t_elt(wp), lam, mu)
+
+
+# Runs in a fresh process because the KL memo table is process-wide.  The
+# digest hashes every memo record, serialized as KLCache.save_new writes it,
+# so a change to the recursion's memo keys (zero entries included) fails here.
+_GOLDEN_MEMO = """
+import hashlib, json
+from affschur.affperm import ball
+from affschur.hecke import c_elt, kl_memo_items
+for r, L in ((3, 7), (4, 5)):
+    for w in ball(r, L):
+        c_elt(w)
+h = hashlib.sha256()
+items = sorted(kl_memo_items(), key=lambda t: t[:3])
+for r, y, w, p in items:
+    rec = {"r": r, "y": list(y), "w": list(w), "P": p.to_json()}
+    h.update((json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\\n").encode())
+print(len(items), h.hexdigest()[:16])
+"""
+
+
+def test_golden_kl_memo():
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_MEMO], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["5329", "d217b1339789b14b"]

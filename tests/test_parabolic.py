@@ -20,6 +20,7 @@ from affschur.parabolic import (
     is_max_double_rep,
     is_min_double_rep,
     longest_in_parabolic,
+    matrix_of,
     matrix_of_triple,
     min_double_rep,
     plus_rep,
@@ -151,6 +152,9 @@ def test_greedy_coset_ends_match_enumeration(case):
     A = matrix_of_triple(t)
     assert triple_of_matrix(A) == t
     assert d_A_combinatorial(A) == d_A_coxeter(A)
+    # the matrix is a function of the coset, so any element may index it
+    for x in coset:
+        assert matrix_of(lam, x, mu) == A
 
 
 def test_matrix_of_triple_examples():

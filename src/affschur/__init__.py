@@ -30,12 +30,11 @@ from .hecke import HeckeElt, c_elt, cprime_elt, h_bar, h_mul, h_struct, kl_mu, k
 from .laurent import LaurentPoly
 from .parabolic import (
     Composition,
-    CosetTriple,
     PeriodicMatrix,
     compositions,
     enumerate_theta,
-    matrix_of_triple,
-    triple_of_matrix,
+    matrix_of,
+    min_rep,
 )
 from .schur import SchurElt, basis_convert, g_struct, phi_mul, schur_bar, theta_elt, theta_mul
 
@@ -46,7 +45,6 @@ __all__ = [
     "AValue",
     "CellReport",
     "Composition",
-    "CosetTriple",
     "HeckeElt",
     "JElt",
     "LaurentPoly",
@@ -81,7 +79,8 @@ __all__ = [
     "lowest_cell",
     "lusztig_phi_hecke",
     "lusztig_phi_schur",
-    "matrix_of_triple",
+    "matrix_of",
+    "min_rep",
     "phi_mul",
     "q_suite",
     "rho",
@@ -89,5 +88,4 @@ __all__ = [
     "t_elt",
     "theta_elt",
     "theta_mul",
-    "triple_of_matrix",
 ]

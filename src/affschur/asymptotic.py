@@ -33,7 +33,7 @@ from .parabolic import (
     enumerate_theta,
     is_max_double_rep,
     matrix_of,
-    sigma_plus,
+    plus_rep,
 )
 from .schur import g_expansion, g_struct
 
@@ -152,15 +152,14 @@ def a_bounded(z: AffPerm, length_bound: int) -> AValue:
     return out
 
 
-def certified_a(z: AffPerm, length_bound: int, max_radius: int | None = None) -> AValue:
+def certified_a(z: AffPerm, length_bound: int) -> AValue:
     """a_bounded with an adaptively widened scan radius until certification.
 
     The witness pairs needed for long elements live just past half their
     length, so the radius grows to that point and no further.
     """
     _, zf = z.omega_split()
-    if max_radius is None:
-        max_radius = max(length_bound, (zf.length + 3) // 2 + 1)
+    max_radius = max(length_bound, (zf.length + 3) // 2 + 1)
     radius = length_bound
     av = a_bounded(zf, radius)
     while not av.certified and radius < max_radius:
@@ -205,7 +204,7 @@ def gamma_mat(
     """gamma_{A,B,C}: the Hecke gamma of the sigma's when g_{A,B,C} is nonzero."""
     for C2, g in g_expansion(A, B):
         if C2 == C and not g.is_zero():
-            return gamma(sigma_plus(A), sigma_plus(B), sigma_plus(C), length_bound)
+            return gamma(plus_rep(A), plus_rep(B), plus_rep(C), length_bound)
     return 0
 
 
@@ -214,9 +213,9 @@ def gamma_mat_expansion(
 ) -> dict[PeriodicMatrix, int]:
     """All nonzero gamma_{A,B,C}: the J_Schur product t_A t_B."""
     out: dict[PeriodicMatrix, int] = {}
-    sa, sb = sigma_plus(A), sigma_plus(B)
+    sa, sb = plus_rep(A), plus_rep(B)
     for C, g in g_expansion(A, B):
-        gm = gamma(sa, sb, sigma_plus(C), length_bound)
+        gm = gamma(sa, sb, plus_rep(C), length_bound)
         if gm:
             out[C] = gm
     return out
@@ -264,7 +263,7 @@ def dinv_schur(
     for A in enumerate_theta(n, r, length_bound, omega_window):
         if A.ro != A.co:
             continue
-        if is_distinguished(sigma_plus(A), length_bound):
+        if is_distinguished(plus_rep(A), length_bound):
             out.append(A)
     return tuple(sorted(out, key=lambda A: A.sort_key))
 
@@ -394,9 +393,9 @@ def lusztig_phi_schur(A: PeriodicMatrix, length_bound: int) -> JElt:
     mu = A.co
     acc: dict[object, LaurentPoly] = {}
     for D in dinv_schur_colored(A.n, A.r, mu, length_bound):
-        aD = certified_a(sigma_plus(D), length_bound)
+        aD = certified_a(plus_rep(D), length_bound)
         for B, g in g_expansion(A, D):
-            aB = certified_a(sigma_plus(B), length_bound)
+            aB = certified_a(plus_rep(B), length_bound)
             if not aB.certified:
                 raise WindowExceeded(f"a({B}) uncertified in Phi truncation")
             if aB.value == aD.value:
@@ -498,7 +497,6 @@ def cell_preorder(
     elements,
     flavor: str = "L",
     length_bound: int = 4,
-    window_desc: str = "",
 ) -> CellReport:
     """Window-bounded cell preorder over Hecke elements or matrices.
 
@@ -549,7 +547,7 @@ def cell_preorder(
     cells = _scc_partition(n, closure)
     return CellReport(
         flavor=flavor,
-        window=window_desc or f"{n} elements",
+        window=f"{n} elements",
         elements=list(elements),
         edges=sorted(edges),
         cells=cells,
@@ -575,7 +573,7 @@ def lowest_cell(
     nu_r = nu(r)
     members = []
     for A in win:
-        av = certified_a(sigma_plus(A), length_bound)
+        av = certified_a(plus_rep(A), length_bound)
         if not av.certified:
             raise UncertifiedAValue(f"a({A}) uncertified; enlarge the window")
         if av.value == nu_r:
@@ -584,7 +582,7 @@ def lowest_cell(
     index = {A: i for i, A in enumerate(members)}
 
     # partition the sigma values by Hecke ~L (exact criterion)
-    sigmas = sorted({sigma_plus(A) for A in members}, key=lambda w: w.sort_key)
+    sigmas = sorted({plus_rep(A) for A in members}, key=lambda w: w.sort_key)
     sig_class: dict[AffPerm, int] = {}
     reps: list[AffPerm] = []
     for s in sigmas:
@@ -598,7 +596,7 @@ def lowest_cell(
 
     groups: dict[tuple, list[int]] = {}
     for A in members:
-        key = (A.co.parts, sig_class[sigma_plus(A)])
+        key = (A.co.parts, sig_class[plus_rep(A)])
         groups.setdefault(key, []).append(index[A])
     cells = sorted(sorted(g) for g in groups.values())
     return CellReport(
@@ -638,7 +636,7 @@ class _Window:
         closed = set(win) | {A.transpose() for A in win}
         self.mats = tuple(sorted(closed, key=lambda A: A.sort_key))
         self.length_bound = length_bound
-        self.aval = {A: certified_a(sigma_plus(A), length_bound) for A in self.mats}
+        self.aval = {A: certified_a(plus_rep(A), length_bound) for A in self.mats}
         self.certified = [A for A in self.mats if self.aval[A].certified]
         self.by_color: dict[tuple, list[PeriodicMatrix]] = {}
         for A in self.mats:
@@ -662,7 +660,7 @@ class _Window:
         return bool(self.gamma(A.transpose(), B))
 
     def is_dinv(self, A: PeriodicMatrix) -> bool:
-        return A.ro == A.co and is_distinguished(sigma_plus(A), self.length_bound)
+        return A.ro == A.co and is_distinguished(plus_rep(A), self.length_bound)
 
 
 def based_ring_checks(
@@ -784,7 +782,7 @@ def q_suite(
 
     # Q1: a(A) <= Delta(sigma(A))
     for A in certified:
-        if aval[A].value > delta_cap(sigma_plus(A)):
+        if aval[A].value > delta_cap(plus_rep(A)):
             fail("Q1", {"A": A.to_json(), "a": aval[A].value})
     finish("Q1", len(certified), len(win) - len(certified))
 
@@ -936,7 +934,7 @@ def q_suite(
     # Q15: the two-indeterminate commutation identity, on a capped tuple set
     # enumerated lazily; off-hypothesis tuples (a(B) != a(C)) are tried too,
     # for information only
-    sub = [A for A in certified if sigma_plus(A).length <= _Q15_SUB_LENGTH]
+    sub = [A for A in certified if plus_rep(A).length <= _Q15_SUB_LENGTH]
     by_ro: dict[Composition, list[PeriodicMatrix]] = {}
     by_co: dict[Composition, list[PeriodicMatrix]] = {}
     by_color: dict[tuple, list[tuple[PeriodicMatrix, int]]] = {}

@@ -28,7 +28,7 @@ from .errors import (
     WindowExceeded,
 )
 from .hecke import HeckeElt
-from .parabolic import Composition, CosetTriple, PeriodicMatrix
+from .parabolic import Composition, PeriodicMatrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -228,14 +228,12 @@ def cmd_hstruct(args, cfg) -> int:
 def cmd_cosets(args, cfg) -> int:
     lam = parse_comp(args.lam, cfg["n"])
     mu = parse_comp(args.mu, cfg["n"])
-    w = parse_perm(args.w, lam.r)
-    rep = parabolic.min_double_rep(w, lam, mu)
-    triple = CosetTriple(lam, rep, mu)
-    coset = sorted(parabolic.double_coset(triple), key=lambda x: x.sort_key)
+    A = parabolic.matrix_of(lam, parse_perm(args.w, lam.r), mu)
+    coset = sorted(parabolic.double_coset(A), key=lambda x: x.sort_key)
     emit(
         {
-            "min": list(rep.window),
-            "plus": list(parabolic.plus_rep(triple).window),
+            "min": list(parabolic.min_rep(A).window),
+            "plus": list(parabolic.plus_rep(A).window),
             "size": len(coset),
             "elements": [list(x.window) for x in coset],
             "provenance": "exact",
@@ -248,9 +246,7 @@ def cmd_cosets(args, cfg) -> int:
 def cmd_matrix(args, cfg) -> int:
     lam = parse_comp(args.lam, cfg["n"])
     mu = parse_comp(args.mu, cfg["n"])
-    w = parse_perm(args.w, lam.r)
-    rep = parabolic.min_double_rep(w, lam, mu)
-    A = parabolic.matrix_of_triple(CosetTriple(lam, rep, mu))
+    A = parabolic.matrix_of(lam, parse_perm(args.w, lam.r), mu)
     out = A.to_json()
     out["d_A"] = parabolic.d_A_combinatorial(A)
     out["provenance"] = "exact"
@@ -260,13 +256,12 @@ def cmd_matrix(args, cfg) -> int:
 
 def cmd_triple(args, cfg) -> int:
     A = parse_matrix(args.A)
-    t = parabolic.triple_of_matrix(A)
     emit(
         {
-            "lam": t.lam.to_json(),
-            "w": list(t.w.window),
-            "mu": t.mu.to_json(),
-            "plus": list(parabolic.plus_rep(t).window),
+            "lam": A.ro.to_json(),
+            "w": list(parabolic.min_rep(A).window),
+            "mu": A.co.to_json(),
+            "plus": list(parabolic.plus_rep(A).window),
             "d_A": parabolic.d_A_coxeter(A),
             "provenance": "exact",
         },
@@ -316,7 +311,7 @@ def cmd_gamma(args, cfg) -> int:
 
 def cmd_dinv(args, cfg) -> int:
     _require(cfg, "r")
-    if cfg["n"]:
+    if cfg["n"] is not None:
         dd = asymptotic.dinv_schur(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"])
         emit({"matrices": [[list(e) for e in A.entries] for A in dd],
               "count": len(dd), "provenance": "window-bounded, certified"}, cfg["format"])
@@ -527,7 +522,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except AffschurError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -26,7 +26,7 @@ from . import affperm
 from .affperm import AffPerm, bruhat_leq, bruhat_lower
 from .errors import BasisMismatch, KLInvariantViolation, PeriodMismatch
 from .laurent import ONE, Q, QINV, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
-from .parabolic import Composition, CosetTriple, double_coset, young_elements
+from .parabolic import Composition, PeriodicMatrix, double_coset, young_elements
 
 __all__ = [
     "HeckeElt",
@@ -358,9 +358,9 @@ def x_lambda(lam: Composition) -> HeckeElt:
     return HeckeElt(lam.r, "T", {w: ONE for w in young_elements(lam)})
 
 
-def coset_sum_TD(triple: CosetTriple) -> HeckeElt:
-    """T_D = sum of T_x over the double coset D."""
-    return HeckeElt(triple.w.r, "T", {x: ONE for x in double_coset(triple)})
+def coset_sum_TD(A: PeriodicMatrix) -> HeckeElt:
+    """T_D = sum of T_x over the double coset D of A."""
+    return HeckeElt(A.r, "T", {x: ONE for x in double_coset(A)})
 
 
 def j_inv(a: HeckeElt) -> HeckeElt:

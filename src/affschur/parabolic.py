@@ -2,10 +2,11 @@
 
 A composition lambda of r into n parts cuts [1, r] into consecutive blocks
 and (periodically) cuts all of Z into blocks R_j, j in Z.  The standard basis
-of the affine q-Schur algebra is indexed equivalently by coset triples
-(lambda, w, mu) with w a minimal double-coset representative, or by the
-periodic n-strip matrices A = (|R_k ^ w R_l|); this module provides both
-directions of that bijection plus the dimension statistic d_A.
+of the affine q-Schur algebra is indexed by the periodic n-strip matrices
+A = (|R_k ^ w R_l|) of the double cosets W_lambda w W_mu, lambda = ro(A) and
+mu = co(A).  `matrix_of` and `min_rep` are the two directions of that
+bijection; `plus_rep`, `double_coset` and the dimension statistic d_A all take
+the matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import InvalidMatrix, PeriodMismatch
 
 __all__ = [
     "Composition",
-    "CosetTriple",
     "PeriodicMatrix",
     "compositions",
     "young_elements",
@@ -31,8 +31,7 @@ __all__ = [
     "double_coset",
     "plus_rep",
     "matrix_of",
-    "matrix_of_triple",
-    "triple_of_matrix",
+    "min_rep",
     "d_A_combinatorial",
     "d_A_coxeter",
     "enumerate_theta",
@@ -101,8 +100,15 @@ class Composition:
         return Composition(obj["n"], tuple(obj["parts"]))
 
 
+# One shared Composition per (n, parts): equal matrices (transposes, cache keys)
+# then hold the same row and column sums instead of one copy each.
+_shared_composition = functools.lru_cache(maxsize=None)(Composition)
+
+
 def compositions(n: int, r: int) -> tuple[Composition, ...]:
     """All compositions of r into n nonnegative parts, lexicographically."""
+    if n < 1:
+        raise InvalidMatrix(f"compositions need n >= 1 parts, got n={n}")
     out = []
     def rec(prefix, rem, slots):
         if slots == 1:
@@ -182,37 +188,6 @@ def min_double_rep(w: AffPerm, lam: Composition, mu: Composition) -> AffPerm:
 
 
 @dataclass(frozen=True)
-class CosetTriple:
-    """(lambda, w, mu) with w the minimal representative of W_lambda w W_mu."""
-
-    lam: Composition
-    w: AffPerm
-    mu: Composition
-
-    def __post_init__(self):
-        if self.lam.r != self.w.r or self.mu.r != self.w.r:
-            raise PeriodMismatch("composition sizes and permutation period differ")
-        if not is_min_double_rep(self.w, self.lam, self.mu):
-            raise InvalidMatrix(f"{self.w} is not minimal in its double coset")
-
-
-@functools.lru_cache(maxsize=None)
-def double_coset(triple: CosetTriple) -> frozenset[AffPerm]:
-    """The full (finite) double coset W_lambda w W_mu."""
-    return frozenset(
-        u * triple.w * v
-        for u in young_elements(triple.lam)
-        for v in young_elements(triple.mu)
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def plus_rep(triple: CosetTriple) -> AffPerm:
-    """The unique longest element of the double coset, by greedy ascent."""
-    return _walk(triple.w, triple.lam, triple.mu, up=True)
-
-
-@dataclass(frozen=True)
 class PeriodicMatrix:
     """An n-periodic N-matrix, stored as the strip rows 1..n of nonzero entries."""
 
@@ -255,14 +230,14 @@ class PeriodicMatrix:
         sums = [0] * self.n
         for i, _, a in self.entries:
             sums[i - 1] += a
-        return Composition(self.n, tuple(sums))
+        return _shared_composition(self.n, tuple(sums))
 
     @functools.cached_property
     def co(self) -> Composition:
         sums = [0] * self.n
         for _, j, a in self.entries:
             sums[(j - 1) % self.n] += a
-        return Composition(self.n, tuple(sums))
+        return _shared_composition(self.n, tuple(sums))
 
     def transpose(self) -> "PeriodicMatrix":
         ent = []
@@ -301,6 +276,10 @@ def matrix_of(lam: Composition, w: AffPerm, mu: Composition) -> PeriodicMatrix:
 
     W_lambda and W_mu map every block onto itself, so any w in the coset gives A.
     """
+    if lam.r != w.r or mu.r != w.r:
+        raise PeriodMismatch("composition sizes and permutation period differ")
+    if lam.n != mu.n:
+        raise PeriodMismatch(f"compositions with {lam.n} and {mu.n} parts give no n-periodic matrix")
     winv = w.inverse
     counts: dict[tuple[int, int], int] = {}
     for m in range(1, lam.r + 1):
@@ -310,19 +289,14 @@ def matrix_of(lam: Composition, w: AffPerm, mu: Composition) -> PeriodicMatrix:
     return PeriodicMatrix(lam.n, tuple((k, l, a) for (k, l), a in counts.items()))
 
 
-def matrix_of_triple(triple: CosetTriple) -> PeriodicMatrix:
-    """The matrix of a coset triple."""
-    return matrix_of(triple.lam, triple.w, triple.mu)
-
-
 @functools.lru_cache(maxsize=None)
-def triple_of_matrix(A: PeriodicMatrix) -> CosetTriple:
-    """The inverse bijection: reconstruct (lambda, w, mu) from the matrix.
+def min_rep(A: PeriodicMatrix) -> AffPerm:
+    """The inverse bijection: the shortest element w of the double coset of A.
 
-    Each column block of mu is cut into consecutive pieces of sizes a_{k,l}
-    with k increasing, each row block of lambda into pieces with l increasing,
-    and w sends the (k,l)-piece of R_l order-preservingly onto the (k,l)-piece
-    of R_k.
+    Each column block of mu = co(A) is cut into consecutive pieces of sizes
+    a_{k,l} with k increasing, each row block of lambda = ro(A) into pieces
+    with l increasing, and w sends the (k,l)-piece of R_l order-preservingly
+    onto the (k,l)-piece of R_k.
     """
     lam, mu = A.ro, A.co
     if lam.r != mu.r:
@@ -345,7 +319,20 @@ def triple_of_matrix(A: PeriodicMatrix) -> CosetTriple:
     w = AffPerm(lam.r, tuple(win))
     if not is_min_double_rep(w, lam, mu):
         raise InvalidMatrix(f"matrix {A} rebuilt a non-minimal representative {w}")
-    return CosetTriple(lam, w, mu)
+    return w
+
+
+@functools.lru_cache(maxsize=None)
+def double_coset(A: PeriodicMatrix) -> frozenset[AffPerm]:
+    """The full (finite) double coset W_lambda w W_mu of A."""
+    w = min_rep(A)
+    return frozenset(u * w * v for u in young_elements(A.ro) for v in young_elements(A.co))
+
+
+@functools.lru_cache(maxsize=None)
+def plus_rep(A: PeriodicMatrix) -> AffPerm:
+    """The longest double-coset representative w_A^+, by greedy ascent."""
+    return _walk(min_rep(A), A.ro, A.co, up=True)
 
 
 def _column_profile(A: PeriodicMatrix, l: int) -> list[tuple[int, int]]:
@@ -362,11 +349,6 @@ def _row_profile(A: PeriodicMatrix, k: int) -> list[tuple[int, int]]:
     i = (k - 1) % A.n + 1
     shift = k - i
     return sorted((j + shift, a) for i2, j, a in A.entries if i2 == i)
-
-
-def sigma_plus(A: PeriodicMatrix) -> AffPerm:
-    """The longest double-coset representative w_A^+ indexed by A."""
-    return plus_rep(triple_of_matrix(A))
 
 
 def d_A_combinatorial(A: PeriodicMatrix) -> int:
@@ -386,8 +368,7 @@ def d_A_combinatorial(A: PeriodicMatrix) -> int:
 
 def d_A_coxeter(A: PeriodicMatrix) -> int:
     """The same statistic through the Coxeter picture: l(w_A^+) - l(w_{0,mu})."""
-    triple = triple_of_matrix(A)
-    return plus_rep(triple).length - longest_in_parabolic(triple.mu).length
+    return plus_rep(A).length - longest_in_parabolic(A.co).length
 
 
 def enumerate_theta(

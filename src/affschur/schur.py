@@ -1,13 +1,14 @@
 """The affine q-Schur algebra over Z[t, 1/t].
 
-Basis bookkeeping.  The standard basis phi_{lam,mu}^w is indexed by coset
-triples, equivalently by periodic matrices; phi-hat is its length-normalized
-rescaling, theta the canonical (IC) basis, and e / bracket the convolution
-algebra's names for the same two objects (e_A = phi_A, [A] = phihat_A via the
-dimension statistic d_A).  Structure constants in the theta basis divide the
-corresponding Hecke constants exactly by the Poincare polynomial h_mu; that
-division is the primary multiplication route, with honest endomorphism
-composition kept alive as an independent cross-check.
+Basis bookkeeping.  The standard basis phi_A is indexed by periodic matrices
+A, one for each double coset W_lam w W_mu with lam = ro(A) and mu = co(A);
+phi-hat is its length-normalized rescaling, theta the canonical (IC) basis,
+and e / bracket the convolution algebra's names for the same two objects
+(e_A = phi_A, [A] = phihat_A via the dimension statistic d_A).  Structure
+constants in the theta basis divide the corresponding Hecke constants exactly
+by the Poincare polynomial h_mu; that division is the primary multiplication
+route, with honest endomorphism composition kept alive as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .hecke import HeckeElt, coset_sum_TD, h_bar, h_expansion, h_mul, t_elt
 from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
 from .parabolic import (
     Composition,
-    CosetTriple,
     PeriodicMatrix,
     compositions,
     double_coset,
@@ -31,8 +31,8 @@ from .parabolic import (
     longest_in_parabolic,
     matrix_of,
     min_double_rep,
+    min_rep,
     plus_rep,
-    triple_of_matrix,
     young_elements,
 )
 
@@ -151,7 +151,7 @@ def _expand_in_TD(
         w = min(work, key=lambda x: x.sort_key)
         rep = min_double_rep(w, lam, mu)
         c = work[w]
-        for x in double_coset(CosetTriple(lam, rep, mu)):
+        for x in double_coset(matrix_of(lam, rep, mu)):
             cx = work.pop(x, ZERO)
             if cx != c:
                 raise NotInModule(f"coefficients not constant on the double coset of {rep}")
@@ -168,25 +168,21 @@ def _phi_terms(h: HeckeElt, lam: Composition, mu: Composition) -> tuple:
 
 def phi_apply(A: PeriodicMatrix, h: HeckeElt) -> HeckeElt:
     """Apply the standard basis endomorphism phi_A to h in x_mu H (mu = co(A))."""
-    triple = triple_of_matrix(A)
     # W_mu z {e} is the right coset W_mu z, so this writes h = sum_z c_z x_mu T_z
-    parts = _expand_in_TD(h, triple.mu, Composition(h.r, (1,) * h.r))
-    td = coset_sum_TD(triple)
+    parts = _expand_in_TD(h, A.co, Composition(h.r, (1,) * h.r))
+    td = coset_sum_TD(A)
     return HeckeElt(h.r, "T", linear(parts, lambda z: h_mul(td, t_elt(z)).terms.items()))
 
 
 @functools.lru_cache(maxsize=None)
 def _phi_pair(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     """phi_A . phi_B expanded in the phi basis, as a tuple of (matrix, coeff)."""
-    tA = triple_of_matrix(A)
-    tB = triple_of_matrix(B)
-    if tA.mu != tB.lam:
+    if A.co != B.ro:
         return ()
-    mu = tA.mu
-    td_a = coset_sum_TD(tA)
-    zs = {z: ONE for z in double_coset(tB) if not (z.left_descents & mu.gens)}
+    td_a = coset_sum_TD(A)
+    zs = {z: ONE for z in double_coset(B) if not (z.left_descents & A.co.gens)}
     image = HeckeElt(A.r, "T", linear(zs, lambda z: h_mul(td_a, t_elt(z)).terms.items()))
-    return _phi_terms(image, tA.lam, tB.mu)
+    return _phi_terms(image, A.ro, B.co)
 
 
 def phi_mul(a: SchurElt, b: SchurElt) -> SchurElt:
@@ -200,19 +196,18 @@ def phi_mul(a: SchurElt, b: SchurElt) -> SchurElt:
 # The canonical basis
 
 
-def alpha_coeff(z: AffPerm, triple: CosetTriple) -> LaurentPoly:
-    """The coefficient alpha_{z,w} = t^{-l(w+)} P_{z+,w+} of T_{W zW} in C_{w+}."""
-    wp = plus_rep(triple)
-    zp = plus_rep(CosetTriple(triple.lam, min_double_rep(z, triple.lam, triple.mu), triple.mu))
+def alpha_coeff(z: AffPerm, A: PeriodicMatrix) -> LaurentPoly:
+    """The coefficient alpha_{z,w} = t^{-l(w+)} P_{z+,w+} of T_{W zW} in C_{w+}, w+ = w_A^+."""
+    wp = plus_rep(A)
+    zp = plus_rep(matrix_of(A.ro, z, A.co))
     return t_pow(-wp.length) * hecke.kl_poly(zp, wp)
 
 
 @functools.lru_cache(maxsize=None)
 def _theta_phihat(B: PeriodicMatrix) -> tuple:
     """theta_B over the phihat basis: unitriangular with strictly lower tail."""
-    tB = triple_of_matrix(B)
-    lam, mu = tB.lam, tB.mu
-    wp = plus_rep(tB)
+    lam, mu = B.ro, B.co
+    wp = plus_rep(B)
     out = []
     for zp in bruhat_lower(wp):
         if not is_max_double_rep(zp, lam, mu):
@@ -229,8 +224,7 @@ def theta_in_phihat(B: PeriodicMatrix) -> SchurElt:
 
 def _phihat_scale(A: PeriodicMatrix) -> int:
     """phihat_A = t^{exp} phi_A with exp = -l(w_A^+) + l(w_{0,co(A)})."""
-    t = triple_of_matrix(A)
-    return -plus_rep(t).length + longest_in_parabolic(t.mu).length
+    return -plus_rep(A).length + longest_in_parabolic(A.co).length
 
 
 def basis_convert(a: SchurElt, target: str) -> SchurElt:
@@ -258,7 +252,7 @@ def basis_convert(a: SchurElt, target: str) -> SchurElt:
             work = dict(out.terms)
             acc = {}
             while work:
-                B = max(work, key=lambda A: (plus_rep(triple_of_matrix(A)).length, A.sort_key))
+                B = max(work, key=lambda A: (plus_rep(A).length, A.sort_key))
                 c = work[B]
                 acc[B] = c
                 for A, d in _theta_phihat(B):
@@ -283,14 +277,12 @@ def g_expansion(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     supported on maximal representatives again, so each z in the expansion
     pins down a unique matrix C.
     """
-    tA = triple_of_matrix(A)
-    tB = triple_of_matrix(B)
-    if tA.mu != tB.lam:
+    if A.co != B.ro:
         return ()
-    lam, mu, nu = tA.lam, tA.mu, tB.mu
-    hmu = poincare_h(mu)
+    lam, nu = A.ro, B.co
+    hmu = poincare_h(A.co)
     out = []
-    for z, h in h_expansion(plus_rep(tA), plus_rep(tB)).items():
+    for z, h in h_expansion(plus_rep(A), plus_rep(B)).items():
         if not is_max_double_rep(z, lam, nu):
             raise NotInModule(f"product term {z} is not maximal in its double coset")
         out.append((matrix_of(lam, z, nu), h.exact_div(hmu)))
@@ -299,10 +291,7 @@ def g_expansion(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
 
 def g_struct(A: PeriodicMatrix, B: PeriodicMatrix, C: PeriodicMatrix) -> LaurentPoly:
     """The structure constant g_{A,B,C} of the theta basis."""
-    tC = triple_of_matrix(C)
-    tA = triple_of_matrix(A)
-    tB = triple_of_matrix(B)
-    if tA.mu != tB.lam or (tA.lam, tB.mu) != (tC.lam, tC.mu):
+    if A.co != B.ro or (A.ro, B.co) != (C.ro, C.co):
         return ZERO
     for C2, g in g_expansion(A, B):
         if C2 == C:
@@ -319,20 +308,16 @@ def theta_mul(a: SchurElt, b: SchurElt) -> SchurElt:
 
 def theta_mul_lemma42(A: PeriodicMatrix, B: PeriodicMatrix) -> SchurElt:
     """Fast path theta_A theta_B = theta_C for A = (lam,1,mu) with W_lam inside W_mu."""
-    tA = triple_of_matrix(A)
-    tB = triple_of_matrix(B)
-    if not tA.w.is_identity() or not (tA.lam.gens <= tA.mu.gens) or tA.mu != tB.lam:
+    if not min_rep(A).is_identity() or not (A.ro.gens <= A.co.gens) or A.co != B.ro:
         raise NotInModule("lemma 4.2 fast path needs A = (lam,1,mu) with W_lam <= W_mu")
-    return theta_elt(matrix_of(tA.lam, plus_rep(tB), tB.mu))
+    return theta_elt(matrix_of(A.ro, plus_rep(B), B.co))
 
 
 def theta_mul_lemma61(A: PeriodicMatrix, B: PeriodicMatrix) -> SchurElt:
     """Fast path theta_A theta_B = theta_C for B = (mu,1,nu) with W_nu inside W_mu."""
-    tA = triple_of_matrix(A)
-    tB = triple_of_matrix(B)
-    if not tB.w.is_identity() or not (tB.mu.gens <= tB.lam.gens) or tA.mu != tB.lam:
+    if not min_rep(B).is_identity() or not (B.co.gens <= B.ro.gens) or A.co != B.ro:
         raise NotInModule("lemma 6.1 fast path needs B = (mu,1,nu) with W_nu <= W_mu")
-    return theta_elt(matrix_of(tA.lam, plus_rep(tA), tB.mu))
+    return theta_elt(matrix_of(A.ro, plus_rep(A), B.co))
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +327,10 @@ def theta_mul_lemma61(A: PeriodicMatrix, B: PeriodicMatrix) -> SchurElt:
 @functools.lru_cache(maxsize=None)
 def _bar_phi(B: PeriodicMatrix) -> tuple:
     """bar(phi_B) in the phi basis, pulled back through the defining property."""
-    tB = triple_of_matrix(B)
-    lam, mu = tB.lam, tB.mu
+    lam, mu = B.ro, B.co
     # bar(phi_B)(C_{w0mu}) = bar(phi_B(C_{w0mu})) = t^{-l(w0mu)} bar(T_{D_B});
     # matching against phi_z(C_{w0mu}) = t^{-l(w0mu)} T_{D_z} leaves q^{l(w0mu)}.
-    g = h_bar(coset_sum_TD(tB)).scale(t_pow(2 * longest_in_parabolic(mu).length))
+    g = h_bar(coset_sum_TD(B)).scale(t_pow(2 * longest_in_parabolic(mu).length))
     return _phi_terms(g, lam, mu)
 
 

@@ -30,14 +30,12 @@ from .asymptotic import (
 from .hecke import c_elt, h_bar, h_expansion, kl_poly
 from .parabolic import (
     Composition,
-    CosetTriple,
     PeriodicMatrix,
     d_A_combinatorial,
     d_A_coxeter,
     enumerate_theta,
-    matrix_of_triple,
+    min_rep,
     plus_rep,
-    triple_of_matrix,
 )
 from .schur import (
     basis_convert,
@@ -165,9 +163,8 @@ def c06_theta_sends_parabolic_c() -> dict:
     """theta_B maps C_{w_0,mu} to C_{w_B^+} for every B on the (2,2) L=4 window."""
     checked = 0
     for B in enumerate_theta(2, 2, 4, (-2, 2)):
-        tB = triple_of_matrix(B)
-        w0mu = plus_rep(CosetTriple(tB.mu, identity(2), tB.mu))
-        if theta_apply(B, c_elt(w0mu)) != c_elt(plus_rep(tB)):
+        w0mu = plus_rep(PeriodicMatrix.diagonal(B.co))
+        if theta_apply(B, c_elt(w0mu)) != c_elt(plus_rep(B)):
             return _result(False, f"theta misfires at B={B.entries}")
         checked += 1
     return _result(True, f"theta_B(C_w0mu) = C_w+ for {checked} matrices")
@@ -188,25 +185,23 @@ def c08_idempotent_and_fast_paths() -> dict:
     """theta_D^2 = theta_D for D = ((2,0),1,(2,0)), and the one-term product
     shortcuts agree with general multiplication wherever they apply."""
     two0 = Composition(2, (2, 0))
-    D = matrix_of_triple(CosetTriple(two0, identity(2), two0))
+    D = PeriodicMatrix.diagonal(two0)
     td = theta_elt(D)
     if theta_mul(td, td) != td:
         return _result(False, "the lowest-cell idempotent fails")
     win = enumerate_theta(2, 2, 4, (-2, 2))
     n42 = n61 = 0
     for A in win:
-        tA = triple_of_matrix(A)
         for B in win:
-            tB = triple_of_matrix(B)
-            if tA.mu != tB.lam:
+            if A.co != B.ro:
                 continue
             general = None
-            if tA.w.is_identity() and tA.lam.gens <= tA.mu.gens:
+            if min_rep(A).is_identity() and A.ro.gens <= A.co.gens:
                 general = theta_mul(theta_elt(A), theta_elt(B))
                 if theta_mul_lemma42(A, B) != general:
                     return _result(False, f"lemma-4.2 path differs at ({A.entries},{B.entries})")
                 n42 += 1
-            if tB.w.is_identity() and tB.mu.gens <= tB.lam.gens:
+            if min_rep(B).is_identity() and B.co.gens <= B.ro.gens:
                 if general is None:
                     general = theta_mul(theta_elt(A), theta_elt(B))
                 if theta_mul_lemma61(A, B) != general:

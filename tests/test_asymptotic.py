@@ -39,13 +39,11 @@ from affschur.hecke import h_expansion, h_mul, c_elt, t_to_c
 from affschur.laurent import ONE
 from affschur.parabolic import (
     Composition,
-    CosetTriple,
     PeriodicMatrix,
     compositions,
     enumerate_theta,
-    matrix_of_triple,
-    sigma_plus,
-    triple_of_matrix,
+    matrix_of,
+    plus_rep,
 )
 from affschur.schur import basis_convert, g_expansion, theta_elt, theta_mul
 
@@ -101,7 +99,7 @@ def test_distinguished_involutions_r2():
 def test_gamma_examples():
     assert gamma(S0, S0, S0) == 1
     assert gamma(S0, S1 * S0, S0) == 0
-    D = matrix_of_triple(CosetTriple(TWO0, E2, TWO0))
+    D = matrix_of(TWO0, E2, TWO0)
     assert gamma_mat(D, D, D) == 1
 
 
@@ -280,13 +278,13 @@ def test_lemma55_equivalences_window22():
     for A in win:
         for B in win:
             lhs = schur_sim_L(A, B, 4)
-            rhs = A.co == B.co and hecke_sim_L(sigma_plus(A), sigma_plus(B), 4)
+            rhs = A.co == B.co and hecke_sim_L(plus_rep(A), plus_rep(B), 4)
             assert lhs == rhs, (A, B)
             # the right-handed statement is the transpose of the left-handed one
             from affschur.asymptotic import schur_sim_R
 
             rhs_r = A.ro == B.ro and hecke_sim_L(
-                sigma_plus(A).inverse, sigma_plus(B).inverse, 4
+                plus_rep(A).inverse, plus_rep(B).inverse, 4
             )
             assert schur_sim_R(A, B, 4) == rhs_r, (A, B)
 
@@ -386,9 +384,7 @@ def test_q14_explicit_witness():
     # A ~LR A^t via the chain through A's distinguished involution
     from affschur.affperm import from_word
 
-    A = matrix_of_triple(
-        CosetTriple(OMEGA, from_word(2, 0, [0, 1]), OMEGA)
-    )
+    A = matrix_of(OMEGA, from_word(2, 0, [0, 1]), OMEGA)
     gm = gamma_mat_expansion(A.transpose(), A, 4)
     ds = [D for D in gm if D.ro == D.co]
     assert len(ds) >= 1

@@ -1,14 +1,20 @@
 """End-to-end tests of the command-line surface and the disk cache."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from affschur import asymptotic, hecke
+from affschur.affperm import from_word
 from affschur.cli import main
+from affschur.parabolic import compositions, matrix_of
 from affschur.klcache import KLCache, scan_stats
 
 _M = json.dumps({"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]})
@@ -133,6 +139,37 @@ def test_usage_errors(capsys):
     for window in ("1:2:3", "2:1", "a:1", "5"):
         code, _, err = run_cli(capsys, "length", "--w", "3,0", f"--omega-window={window}")
         assert code == 1 and err.startswith("usage error:"), (window, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lowest-cell", "--n", "0", "--r", "2"),
+    ("qsuite", "--n", "0", "--r", "2", "--L", "1"),
+    ("cells", "--n", "-1", "--r", "2", "--L", "1"),
+    ("dinv", "--n", "0", "--r", "2"),
+])
+def test_nonpositive_n_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "", (code, err)
+    assert err.startswith("domain error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("triple", "--A", "[1,2]"),
+    ("triple", "--A", '{"n":"x","entries":[[1,0,1]]}'),
+    ("length", "--w", '{"window":5}'),
+])
+def test_malformed_json_shape_is_input_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("input error:"), (code, err)
+
+
+@pytest.mark.parametrize("command", ["matrix", "cosets"])
+def test_mismatched_compositions_are_domain_errors(capsys, command):
+    code, _, err = run_cli(capsys, command, "--lam", "1,1", "--mu", "2,1", "--w", "1,2")
+    assert code == 2
+    assert "composition sizes and permutation period differ" in err
+    code, _, err = run_cli(capsys, command, "--lam", "2,0", "--mu", "1,0,1", "--w", "1,2")
+    assert code == 2 and err.startswith("domain error:"), err
 
 
 def test_env_overrides(capsys, monkeypatch):
@@ -261,3 +298,92 @@ def test_golden_cli_stdout(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# CLI fuzz: commands whose work is bounded by their input, fed small generated
+# windows, compositions and matrices (r <= 4 for the coset listings), both as
+# text and as JSON of any shape.  main must return an exit code in 0..4: an
+# uncaught exception would also exit 1, so only an in-process call sees it.
+_small = st.integers(-6, 6)
+_junk = st.text(alphabet=',-^0123456789 x{}[]":', max_size=5)
+_json_any = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["r", "window", "word", "omega", "n", "parts", "entries"]),
+                      kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _text(parts, power=None):
+    return ",".join(map(str, parts)) + ("" if power is None else f"^{power}")
+
+
+def _argv(command, r_or_n, **values):
+    flag = "--n" if command in ("matrix", "cosets") else "--r"
+    argv = [command] + [f"--{k}={v}" for k, v in values.items()]
+    return argv if r_or_n is None else argv + [f"{flag}={r_or_n}"]
+
+
+_perm = st.one_of(
+    st.builds(_text, st.lists(_small, max_size=4), st.none() | st.integers(-3, 3)),
+    st.builds(json.dumps, st.fixed_dictionaries({"window": st.lists(_small, max_size=4)},
+                                                optional={"r": st.integers(-1, 4)})),
+    st.builds(json.dumps, st.fixed_dictionaries(
+        {"r": st.integers(-1, 4), "word": st.lists(st.integers(-1, 4), max_size=6)},
+        optional={"omega": st.integers(-3, 3)})),
+    st.builds(json.dumps, _json_any),
+    _junk,
+)
+_parts = st.lists(st.integers(-1, 2), max_size=3).filter(lambda p: sum(max(x, 0) for x in p) <= 4)
+_comp = st.one_of(
+    _parts.map(_text),
+    st.builds(lambda n, p: json.dumps({"n": n, "parts": p}), st.integers(-1, 3), _parts),
+    st.builds(json.dumps, _json_any),
+    _junk,
+)
+_matrix = st.one_of(
+    st.builds(lambda n, e: json.dumps({"n": n, "entries": e}), st.integers(-1, 3),
+              st.lists(st.lists(st.integers(-1, 4), min_size=3, max_size=3).map(
+                  lambda e: [e[0], e[1] - 2, min(e[2], 2)]), max_size=3)),
+    st.builds(json.dumps, _json_any),
+    _junk,
+)
+_opt = st.none() | st.integers(-1, 4)
+
+
+@st.composite
+def _coset_case(draw):
+    """A well-formed (lam, w, mu) with r <= 4, so that some runs get past the parsers."""
+    r = draw(st.integers(1, 4))
+    comps = compositions(draw(st.integers(1, 3)), r)
+    lam, mu = draw(st.sampled_from(comps)), draw(st.sampled_from(comps))
+    word = draw(st.lists(st.integers(0, r - 1), max_size=5)) if r >= 2 else []
+    return lam, from_word(r, draw(st.integers(-2, 2)), word), mu
+
+
+def _coset_argv(command, case):
+    lam, w, mu = case
+    if command == "triple":
+        return _argv("triple", None, A=json.dumps(matrix_of(lam, w, mu).to_json()))
+    return _argv(command, None, lam=_text(lam.parts), mu=_text(mu.parts), w=_text(w.window))
+
+
+_fuzz_argv = st.one_of(
+    st.builds(_argv, st.sampled_from(["length", "word"]), _opt, w=_perm),
+    st.builds(_argv, st.just("bruhat"), _opt, y=_perm, w=_perm),
+    st.builds(_argv, st.just("triple"), st.none(), A=_matrix),
+    st.builds(_argv, st.sampled_from(["matrix", "cosets"]), _opt, lam=_comp, mu=_comp, w=_perm),
+    st.builds(_coset_argv, st.sampled_from(["matrix", "cosets", "triple"]), _coset_case()),
+)
+
+
+# No explain phase: it traces every line of argparse and takes minutes on a failure.
+@settings(max_examples=150, deadline=None, database=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(_fuzz_argv)
+def test_cli_fuzz_exits_with_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert isinstance(code, int) and 0 <= code <= 4, (argv, code, err.getvalue())

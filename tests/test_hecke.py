@@ -36,10 +36,9 @@ from affschur.hecke import (
 from affschur.laurent import ONE, Q, QINV, T, TINV, ZERO, LaurentPoly, t_pow
 from affschur.parabolic import (
     Composition,
-    CosetTriple,
     compositions,
     longest_in_parabolic,
-    min_double_rep,
+    matrix_of,
     plus_rep,
 )
 
@@ -227,9 +226,9 @@ def test_x_lambda_examples():
 
 
 def test_coset_sum():
-    t = CosetTriple(Composition(2, (2, 0)), S0, Composition(2, (2, 0)))
+    A = matrix_of(Composition(2, (2, 0)), S0, Composition(2, (2, 0)))
     expected = {S0: ONE, S1 * S0: ONE, S0 * S1: ONE, S1 * S0 * S1: ONE}
-    assert coset_sum_TD(t) == HeckeElt(2, "T", expected)
+    assert coset_sum_TD(A) == HeckeElt(2, "T", expected)
 
 
 def test_j_and_psi_examples():
@@ -262,8 +261,7 @@ def test_is_in_H_IJ():
     for lamu in compositions(2, 2):
         for mu in compositions(2, 2):
             for u in (identity(2), S0, rho(2)):
-                w = min_double_rep(u, lamu, mu)
-                wp = plus_rep(CosetTriple(lamu, w, mu))
+                wp = plus_rep(matrix_of(lamu, u, mu))
                 assert is_in_H_IJ(c_elt(wp), lamu, mu)
 
 
@@ -274,12 +272,11 @@ def test_lemma_products_are_plus_reps():
     for mu in (lam, omega):
         for nu in (lam, omega):
             for u in (identity(2), S0, rho(2)):
-                x = plus_rep(CosetTriple(lam, min_double_rep(u, lam, mu), mu))
+                x = plus_rep(matrix_of(lam, u, mu))
                 for v in (identity(2), S1, rho(2, -1)):
-                    y = plus_rep(CosetTriple(mu, min_double_rep(v, mu, nu), nu))
+                    y = plus_rep(matrix_of(mu, v, nu))
                     for z in h_expansion(x, y):
-                        t = CosetTriple(lam, min_double_rep(z, lam, nu), nu)
-                        assert plus_rep(t) == z
+                        assert plus_rep(matrix_of(lam, z, nu)) == z
 
 
 def test_basis_mismatch_errors():
@@ -299,8 +296,7 @@ def test_hecke_json_roundtrip():
 def test_is_in_H_IJ_r3_plus_reps():
     lam = Composition(3, (2, 1, 0))
     mu = Composition(3, (1, 2, 0))
-    w = min_double_rep(generator(3, 0), lam, mu)
-    wp = plus_rep(CosetTriple(lam, w, mu))
+    wp = plus_rep(matrix_of(lam, generator(3, 0), mu))
     assert is_in_H_IJ(c_elt(wp), lam, mu)
     assert not is_in_H_IJ(t_elt(wp), lam, mu)
 

@@ -10,7 +10,6 @@ from affschur.affperm import from_word, generator, identity, rho
 from affschur.errors import InvalidMatrix
 from affschur.parabolic import (
     Composition,
-    CosetTriple,
     PeriodicMatrix,
     compositions,
     d_A_combinatorial,
@@ -21,11 +20,9 @@ from affschur.parabolic import (
     is_min_double_rep,
     longest_in_parabolic,
     matrix_of,
-    matrix_of_triple,
     min_double_rep,
+    min_rep,
     plus_rep,
-    sigma_plus,
-    triple_of_matrix,
     young_elements,
 )
 
@@ -44,6 +41,12 @@ def test_composition_basics():
         Composition(2, (1, -1))
     with pytest.raises(InvalidMatrix):
         Composition(2, (0, 0))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_compositions_reject_nonpositive_n(n):
+    with pytest.raises(InvalidMatrix):
+        compositions(n, 2)
 
 
 def test_block_indexing():
@@ -95,32 +98,29 @@ def test_min_double_rep():
 
 def test_double_coset_and_plus_rep():
     s0, s1 = generator(2, 0), generator(2, 1)
-    t = CosetTriple(TWO0, s0, TWO0)
-    assert double_coset(t) == {s0, s1 * s0, s0 * s1, s1 * s0 * s1}
-    assert plus_rep(t) == s1 * s0 * s1
-    assert plus_rep(t).length == 3
+    A = matrix_of(TWO0, s0, TWO0)
+    assert double_coset(A) == {s0, s1 * s0, s0 * s1, s1 * s0 * s1}
+    assert plus_rep(A) == s1 * s0 * s1
+    assert plus_rep(A).length == 3
 
-    t2 = CosetTriple(TWO0, identity(2), TWO0)
-    assert double_coset(t2) == {identity(2), s1}
-    assert plus_rep(t2) == s1
+    A2 = matrix_of(TWO0, identity(2), TWO0)
+    assert double_coset(A2) == {identity(2), s1}
+    assert plus_rep(A2) == s1
 
-    t3 = CosetTriple(OMEGA2, s0, OMEGA2)
-    assert double_coset(t3) == {s0}
-    assert plus_rep(t3) == s0
+    A3 = matrix_of(OMEGA2, s0, OMEGA2)
+    assert double_coset(A3) == {s0}
+    assert plus_rep(A3) == s0
 
     # (lam, e, lam)+ = w_{0,lam}
     for lam in compositions(2, 3):
-        t = CosetTriple(lam, identity(3), lam)
-        assert plus_rep(t) == longest_in_parabolic(lam)
+        assert plus_rep(PeriodicMatrix.diagonal(lam)) == longest_in_parabolic(lam)
 
 
 def test_plus_rep_has_full_descents():
     for lam in compositions(2, 2):
         for mu in compositions(2, 2):
             for u in (identity(2), generator(2, 0), rho(2)):
-                w = min_double_rep(u, lam, mu)
-                t = CosetTriple(lam, w, mu)
-                p = plus_rep(t)
+                p = plus_rep(matrix_of(lam, u, mu))
                 assert lam.gens <= p.left_descents
                 assert mu.gens <= p.right_descents
 
@@ -139,33 +139,32 @@ def coset_cases(draw):
 @given(coset_cases())
 def test_greedy_coset_ends_match_enumeration(case):
     lam, w, mu = case
-    t = CosetTriple(lam, min_double_rep(w, lam, mu), mu)
-    coset = double_coset(t)
+    bottom = min_double_rep(w, lam, mu)
+    A = matrix_of(lam, bottom, mu)
+    coset = double_coset(A)
     assert w in coset
-    top = plus_rep(t)
+    top = plus_rep(A)
     lengths = [x.length for x in coset]
-    assert [x for x in coset if x.length == min(lengths)] == [t.w]
+    assert [x for x in coset if x.length == min(lengths)] == [bottom]
     assert [x for x in coset if x.length == max(lengths)] == [top]
     for x in coset:
-        assert is_min_double_rep(x, lam, mu) == (x == t.w)
+        assert is_min_double_rep(x, lam, mu) == (x == bottom)
         assert is_max_double_rep(x, lam, mu) == (x == top)
-    A = matrix_of_triple(t)
-    assert triple_of_matrix(A) == t
+    assert (A.ro, min_rep(A), A.co) == (lam, bottom, mu)
     assert d_A_combinatorial(A) == d_A_coxeter(A)
     # the matrix is a function of the coset, so any element may index it
     for x in coset:
         assert matrix_of(lam, x, mu) == A
 
 
-def test_matrix_of_triple_examples():
+def test_matrix_of_examples():
     lam = Composition(2, (2, 1))
-    t = CosetTriple(lam, identity(3), lam)
-    assert matrix_of_triple(t) == PeriodicMatrix(2, ((1, 1, 2), (2, 2, 1)))
+    assert matrix_of(lam, identity(3), lam) == PeriodicMatrix(2, ((1, 1, 2), (2, 2, 1)))
 
     s0, s1 = generator(2, 0), generator(2, 1)
-    m0 = matrix_of_triple(CosetTriple(OMEGA2, s0, OMEGA2))
+    m0 = matrix_of(OMEGA2, s0, OMEGA2)
     assert m0 == PeriodicMatrix(2, ((1, 0, 1), (2, 3, 1)))
-    m1 = matrix_of_triple(CosetTriple(OMEGA2, s1, OMEGA2))
+    m1 = matrix_of(OMEGA2, s1, OMEGA2)
     assert m1 == PeriodicMatrix(2, ((1, 2, 1), (2, 1, 1)))
 
 
@@ -177,16 +176,15 @@ def test_matrix_row_column_sums():
     assert A.entry(1, 0) == 1 and A.entry(3, 2) == 1 and A.entry(1, 1) == 0
 
 
-def test_triple_of_matrix_examples():
+def test_min_rep_examples():
     lam = Composition(2, (2, 1))
     diag = PeriodicMatrix.diagonal(lam)
-    t = triple_of_matrix(diag)
-    assert t.lam == lam and t.mu == lam and t.w.is_identity()
+    assert diag.ro == lam and diag.co == lam and min_rep(diag).is_identity()
 
     A = PeriodicMatrix(2, ((1, 0, 1), (2, 3, 1)))
-    assert triple_of_matrix(A).w == generator(2, 0)
+    assert min_rep(A) == generator(2, 0)
     B = PeriodicMatrix(2, ((1, 2, 1), (2, 1, 1)))
-    assert triple_of_matrix(B).w == generator(2, 1)
+    assert min_rep(B) == generator(2, 1)
 
 
 @pytest.mark.parametrize("n,r", [(1, 2), (2, 2), (2, 3), (3, 3)])
@@ -194,24 +192,21 @@ def test_roundtrip_both_ways(n, r):
     mats = enumerate_theta(n, r, 3, (-2, 2))
     assert mats
     for A in mats:
-        t = triple_of_matrix(A)
-        assert matrix_of_triple(t) == A
+        assert matrix_of(A.ro, min_rep(A), A.co) == A
     for lam in compositions(n, r):
         for mu in compositions(n, r):
             for u in (identity(r), rho(r), rho(r, -1)):
                 w = min_double_rep(u, lam, mu)
-                t = CosetTriple(lam, w, mu)
-                assert triple_of_matrix(matrix_of_triple(t)) == t
+                A = matrix_of(lam, w, mu)
+                assert (A.ro, min_rep(A), A.co) == (lam, w, mu)
 
 
 def test_transpose_is_inverse_triple():
     for A in enumerate_theta(2, 2, 3, (-2, 2)):
-        t = triple_of_matrix(A)
         At = A.transpose()
-        tt = triple_of_matrix(At)
-        assert tt.lam == t.mu and tt.mu == t.lam
-        assert tt.w == min_double_rep(t.w.inverse, t.mu, t.lam)
-        assert sigma_plus(At) == sigma_plus(A).inverse
+        assert At.ro == A.co and At.co == A.ro
+        assert min_rep(At) == min_double_rep(min_rep(A).inverse, A.co, A.ro)
+        assert plus_rep(At) == plus_rep(A).inverse
         assert At.transpose() == A
 
 
@@ -255,10 +250,9 @@ def test_enumerate_theta_small():
 def test_coset_size_bound():
     for lam in compositions(2, 3):
         for mu in compositions(2, 3):
-            w = min_double_rep(rho(3), lam, mu)
-            t = CosetTriple(lam, w, mu)
+            A = matrix_of(lam, rho(3), mu)
             bound = len(young_elements(lam)) * len(young_elements(mu))
-            assert len(double_coset(t)) <= bound
+            assert len(double_coset(A)) <= bound
 
 
 def test_matrix_json_roundtrip():

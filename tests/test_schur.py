@@ -16,14 +16,12 @@ from affschur.hecke import HeckeElt, c_elt, h_mul, t_elt, x_lambda
 from affschur.laurent import ONE, Q, T, TINV, ZERO, LaurentPoly, t_pow
 from affschur.parabolic import (
     Composition,
-    CosetTriple,
     PeriodicMatrix,
     compositions,
     enumerate_theta,
-    matrix_of_triple,
-    min_double_rep,
+    matrix_of,
+    min_rep,
     plus_rep,
-    triple_of_matrix,
 )
 from affschur.schur import (
     SchurElt,
@@ -110,12 +108,12 @@ def test_hecke_embedding_multiplicative():
 
 
 def test_alpha_coeff_examples():
-    t = CosetTriple(OMEGA, S1, OMEGA)
-    assert alpha_coeff(S1, t) == TINV  # t^{-l(w+)} P_{w+,w+}
-    assert alpha_coeff(E2, t) == TINV  # P_{e,s1} = 1
-    t0 = CosetTriple(TWO0, S0, TWO0)
-    assert alpha_coeff(S0, t0) == t_pow(-3)
-    assert alpha_coeff(rho(2), CosetTriple(OMEGA, rho(2), OMEGA)) == ONE
+    A = matrix_of(OMEGA, S1, OMEGA)
+    assert alpha_coeff(S1, A) == TINV  # t^{-l(w+)} P_{w+,w+}
+    assert alpha_coeff(E2, A) == TINV  # P_{e,s1} = 1
+    A0 = matrix_of(TWO0, S0, TWO0)
+    assert alpha_coeff(S0, A0) == t_pow(-3)
+    assert alpha_coeff(rho(2), matrix_of(OMEGA, rho(2), OMEGA)) == ONE
 
 
 def test_theta_in_phihat_examples():
@@ -156,7 +154,7 @@ def test_basis_convert_roundtrips():
 
 
 def test_g_struct_examples():
-    D = matrix_of_triple(CosetTriple(TWO0, E2, TWO0))
+    D = matrix_of(TWO0, E2, TWO0)
     assert g_struct(D, D, D) == ONE
     # color mismatch
     assert g_struct(D, M_S0, D) == ZERO
@@ -175,7 +173,7 @@ def test_theta_mul_examples():
     for lam in compositions(2, 2):
         d = theta_elt(PeriodicMatrix.diagonal(lam))
         assert theta_mul(d, d) == d
-    D = matrix_of_triple(CosetTriple(TWO0, E2, TWO0))
+    D = matrix_of(TWO0, E2, TWO0)
     td = theta_elt(D)
     assert theta_mul(td, td) == td  # the idempotent of the lowest cell
 
@@ -199,15 +197,13 @@ def test_fast_paths_match_general_product():
     win = window22()
     pairs42 = pairs61 = 0
     for A in win:
-        tA = triple_of_matrix(A)
         for B in win:
-            tB = triple_of_matrix(B)
-            if tA.mu != tB.lam:
+            if A.co != B.ro:
                 continue
-            if tA.w.is_identity() and tA.lam.gens <= tA.mu.gens:
+            if min_rep(A).is_identity() and A.ro.gens <= A.co.gens:
                 assert theta_mul_lemma42(A, B) == theta_mul(theta_elt(A), theta_elt(B))
                 pairs42 += 1
-            if tB.w.is_identity() and tB.mu.gens <= tB.lam.gens:
+            if min_rep(B).is_identity() and B.co.gens <= B.ro.gens:
                 assert theta_mul_lemma61(A, B) == theta_mul(theta_elt(A), theta_elt(B))
                 pairs61 += 1
     assert pairs42 > 10 and pairs61 > 10
@@ -227,10 +223,9 @@ def test_identity_element():
 
 def test_theta_sends_cw0_to_cwplus():
     for B in window22():
-        tB = triple_of_matrix(B)
-        w0mu = plus_rep(CosetTriple(tB.mu, identity(2), tB.mu))
+        w0mu = plus_rep(matrix_of(B.co, identity(2), B.co))
         out = theta_apply(B, c_elt(w0mu))
-        assert out == c_elt(plus_rep(tB)), B
+        assert out == c_elt(plus_rep(B)), B
 
 
 def test_schur_bar_fixes_theta():
@@ -266,10 +261,8 @@ def test_g_nonzero_needs_matching_colors():
         for B in win:
             for C, g in g_expansion(A, B):
                 assert not g.is_zero()
-                tC = triple_of_matrix(C)
-                tA, tB = triple_of_matrix(A), triple_of_matrix(B)
-                assert tA.mu == tB.lam
-                assert (tA.lam, tB.mu) == (tC.lam, tC.mu)
+                assert A.co == B.ro
+                assert (A.ro, B.co) == (C.ro, C.co)
 
 
 def test_basis_errors():
@@ -290,9 +283,9 @@ def test_schur_json_roundtrip():
 
 
 def test_alpha_vanishes_outside_bruhat_cone():
-    t1 = CosetTriple(OMEGA, S1, OMEGA)
-    assert alpha_coeff(S0, t1) == ZERO  # s0+ not below s1+
-    assert alpha_coeff(rho(2), t1) == ZERO  # omega-degrees differ
+    A1 = matrix_of(OMEGA, S1, OMEGA)
+    assert alpha_coeff(S0, A1) == ZERO  # s0+ not below s1+
+    assert alpha_coeff(rho(2), A1) == ZERO  # omega-degrees differ
 
 
 def test_rank_one_hecke_path():

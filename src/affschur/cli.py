@@ -82,15 +82,32 @@ def parse_omega_window(raw) -> tuple[int, int] | None:
     return (lo, hi)
 
 
+def _not_an_integer(literal: str):
+    raise ValueError(f"{literal} is not an integer")
+
+
+def _from_json(build, spec: str):
+    """build(obj) for the JSON in spec.  Every number must be an integer, and a value
+    of the wrong shape (a TypeError in build) is bad input, not a program fault."""
+    obj = json.loads(spec, parse_float=_not_an_integer, parse_constant=_not_an_integer)
+    try:
+        return build(obj)
+    except TypeError as exc:
+        raise ValueError(f"malformed input: {exc}") from None
+
+
+def _perm_from_json(obj: dict) -> AffPerm:
+    if "window" in obj:
+        return AffPerm(obj.get("r", len(obj["window"])), tuple(obj["window"]))
+    return affperm.from_word(obj["r"], obj.get("omega", 0), obj.get("word", ()))
+
+
 def parse_perm(spec: str, r: int | None) -> AffPerm:
     """Parse a window `a,b,c`, with optional `^k` rho-power suffix, a word
     (when every entry is a generator index for the given r), or JSON."""
     spec = spec.strip()
     if spec.startswith("{"):
-        obj = json.loads(spec)
-        if "window" in obj:
-            return AffPerm(obj.get("r", len(obj["window"])), tuple(obj["window"]))
-        return affperm.from_word(obj["r"], obj.get("omega", 0), obj.get("word", ()))
+        return _from_json(_perm_from_json, spec)
     power = 0
     if "^" in spec:
         spec, raw = spec.split("^", 1)
@@ -112,20 +129,19 @@ def parse_perm(spec: str, r: int | None) -> AffPerm:
 def parse_comp(spec: str, n: int | None) -> Composition:
     spec = spec.strip()
     if spec.startswith("{"):
-        return Composition.from_json(json.loads(spec))
+        return _from_json(Composition.from_json, spec)
     parts = tuple(int(p) for p in spec.split(","))
     return Composition(n or len(parts), parts)
 
 
 def parse_matrix(spec: str) -> PeriodicMatrix:
-    obj = json.loads(spec)
-    return PeriodicMatrix.from_json(obj)
+    return _from_json(PeriodicMatrix.from_json, spec)
 
 
 def parse_hecke(spec: str, r: int | None) -> HeckeElt:
     spec = spec.strip()
     if spec.startswith("{"):
-        return HeckeElt.from_json(json.loads(spec))
+        return _from_json(HeckeElt.from_json, spec)
     w = parse_perm(spec, r)
     return hecke.t_elt(w)
 
@@ -133,7 +149,7 @@ def parse_hecke(spec: str, r: int | None) -> HeckeElt:
 def parse_jelt(spec: str, r: int | None) -> asymptotic.JElt:
     spec = spec.strip()
     if spec.startswith("{"):
-        return asymptotic.JElt.from_json(json.loads(spec))
+        return _from_json(asymptotic.JElt.from_json, spec)
     return asymptotic.j_elt(parse_perm(spec, r))
 
 
@@ -522,7 +538,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except AffschurError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -6,7 +6,7 @@ of the affine q-Schur algebra is indexed by the periodic n-strip matrices
 A = (|R_k ^ w R_l|) of the double cosets W_lambda w W_mu, lambda = ro(A) and
 mu = co(A).  `matrix_of` and `min_rep` are the two directions of that
 bijection; `plus_rep`, `double_coset` and the dimension statistic d_A all take
-the matrix.
+the matrix, and `coset_of` lists a coset from any (lambda, w, mu).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "is_min_double_rep",
     "is_max_double_rep",
     "min_double_rep",
+    "coset_of",
     "double_coset",
     "plus_rep",
     "matrix_of",
@@ -299,8 +300,6 @@ def min_rep(A: PeriodicMatrix) -> AffPerm:
     onto the (k,l)-piece of R_k.
     """
     lam, mu = A.ro, A.co
-    if lam.r != mu.r:
-        raise InvalidMatrix("row and column sums differ")
     win = []
     for p in range(1, mu.r + 1):
         l = mu.block_of(p)
@@ -322,11 +321,15 @@ def min_rep(A: PeriodicMatrix) -> AffPerm:
     return w
 
 
+def coset_of(lam: Composition, w: AffPerm, mu: Composition) -> frozenset[AffPerm]:
+    """The full (finite) double coset W_lambda w W_mu; lambda and mu may differ in length."""
+    return frozenset(u * w * v for u in young_elements(lam) for v in young_elements(mu))
+
+
 @functools.lru_cache(maxsize=None)
 def double_coset(A: PeriodicMatrix) -> frozenset[AffPerm]:
-    """The full (finite) double coset W_lambda w W_mu of A."""
-    w = min_rep(A)
-    return frozenset(u * w * v for u in young_elements(A.ro) for v in young_elements(A.co))
+    """The double coset of A."""
+    return coset_of(A.ro, min_rep(A), A.co)
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,6 +26,7 @@ from .parabolic import (
     Composition,
     PeriodicMatrix,
     compositions,
+    coset_of,
     double_coset,
     is_max_double_rep,
     longest_in_parabolic,
@@ -151,7 +152,7 @@ def _expand_in_TD(
         w = min(work, key=lambda x: x.sort_key)
         rep = min_double_rep(w, lam, mu)
         c = work[w]
-        for x in double_coset(matrix_of(lam, rep, mu)):
+        for x in coset_of(lam, rep, mu):
             cx = work.pop(x, ZERO)
             if cx != c:
                 raise NotInModule(f"coefficients not constant on the double coset of {rep}")

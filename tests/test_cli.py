@@ -11,7 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from affschur import asymptotic, hecke
+from affschur import asymptotic, hecke, parabolic
 from affschur.affperm import from_word
 from affschur.cli import main
 from affschur.parabolic import compositions, matrix_of
@@ -157,10 +157,23 @@ def test_nonpositive_n_is_domain_error(capsys, argv):
     ("triple", "--A", "[1,2]"),
     ("triple", "--A", '{"n":"x","entries":[[1,0,1]]}'),
     ("length", "--w", '{"window":5}'),
+    ("triple", "--A", '{"n":2,"entries":[[1,1,1.5],[2,2,0.5]]}'),
+    ("length", "--w", '{"window":[1.0,2]}'),
+    ("matrix", "--lam", '{"n":2,"parts":[2.0,0]}', "--mu", "1,1", "--w", "1,2"),
 ])
 def test_malformed_json_shape_is_input_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("input error:"), (code, err)
+
+
+def test_program_fault_is_not_an_input_error(capsys, monkeypatch):
+    # only the parsers turn a TypeError into exit 2; one raised by a command propagates
+    def broken(A):
+        raise TypeError("fault inside a command")
+
+    monkeypatch.setattr(parabolic, "d_A_coxeter", broken)
+    with pytest.raises(TypeError, match="fault inside a command"):
+        main(["triple", "--A", _M])
 
 
 @pytest.mark.parametrize("command", ["matrix", "cosets"])
@@ -307,7 +320,7 @@ def test_golden_cli_stdout(capsys, argv, digest):
 _small = st.integers(-6, 6)
 _junk = st.text(alphabet=',-^0123456789 x{}[]":', max_size=5)
 _json_any = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 4) | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats(-3, 4) | st.text(max_size=3),
     lambda kids: st.lists(kids, max_size=3)
     | st.dictionaries(st.sampled_from(["r", "window", "word", "omega", "n", "parts", "entries"]),
                       kids, max_size=3),

@@ -82,6 +82,17 @@ def test_phi_apply_examples():
         phi_apply(PeriodicMatrix.diagonal(TWO0), t_elt(S1))
 
 
+@pytest.mark.parametrize("n, r", [(1, 2), (3, 2), (2, 3)])
+def test_apply_when_n_differs_from_r(n, r):
+    # phi_A and theta_B act on x_mu H, whose coset sums pair mu (n parts) with (1^r)
+    for lam in compositions(n, r):
+        diag = PeriodicMatrix.diagonal(lam)
+        assert phi_apply(diag, x_lambda(lam)) == x_lambda(lam)
+    for B in enumerate_theta(n, r, 2, (-1, 1)):
+        w0mu = plus_rep(PeriodicMatrix.diagonal(B.co))
+        assert theta_apply(B, c_elt(w0mu)) == c_elt(plus_rep(B)), B
+
+
 def test_phi_mul_examples():
     for lam in compositions(2, 2):
         d = phi_elt(PeriodicMatrix.diagonal(lam))

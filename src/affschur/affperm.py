@@ -44,6 +44,8 @@ class AffPerm:
 
     def __post_init__(self):
         object.__setattr__(self, "window", tuple(self.window))
+        if type(self.r) is not int or any(type(v) is not int for v in self.window):
+            raise TypeError(f"period and window entries must be integers: {self.r}, {self.window}")
         if self.r < 1 or len(self.window) != self.r:
             raise InvalidWindow(f"window {self.window} has wrong size for r={self.r}")
         if len({v % self.r for v in self.window}) != self.r:
@@ -176,6 +178,7 @@ def generator(r: int, i: int) -> AffPerm:
     return AffPerm(r, tuple(win))
 
 
+@functools.lru_cache(maxsize=None)
 def rho(r: int, k: int = 1) -> AffPerm:
     """The length-zero rotation rho^k, taking every integer i to i + k."""
     return AffPerm(r, tuple(range(1 + k, r + 1 + k)))

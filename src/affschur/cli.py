@@ -37,6 +37,11 @@ EXIT_VERIFY = 3
 EXIT_UNCERTIFIED = 4
 
 ENV_PREFIX = "AFFSCHUR_"
+
+# The largest period r a parsed element may have.  AffPerm.length is quadratic
+# in r, so without a bound the 23-byte argument {"r":1000000,"word":[]} would
+# ask for hours of work; every computation here is practical only for small r.
+MAX_PERIOD = 256
 DEFAULTS = {"r": None, "n": None, "L": 4, "omega_window": None, "cache": None,
             "format": "json"}
 FORMATS = ("json", "csv", "pretty")
@@ -86,19 +91,29 @@ def _not_an_integer(literal: str):
     raise ValueError(f"{literal} is not an integer")
 
 
+def _check_period(r) -> None:
+    if type(r) is not int:
+        raise ValueError(f"period {r!r} is not an integer")
+    if r > MAX_PERIOD:
+        raise ValueError(f"period r={r} exceeds the supported maximum {MAX_PERIOD}")
+
+
 def _from_json(build, spec: str):
     """build(obj) for the JSON in spec.  Every number must be an integer, and a value
     of the wrong shape (a TypeError in build) is bad input, not a program fault."""
     obj = json.loads(spec, parse_float=_not_an_integer, parse_constant=_not_an_integer)
     try:
-        return build(obj)
+        out = build(obj)
     except TypeError as exc:
         raise ValueError(f"malformed input: {exc}") from None
+    _check_period(out.r)
+    return out
 
 
 def _perm_from_json(obj: dict) -> AffPerm:
     if "window" in obj:
         return AffPerm(obj.get("r", len(obj["window"])), tuple(obj["window"]))
+    _check_period(obj["r"])  # before from_word builds windows of that size
     return affperm.from_word(obj["r"], obj.get("omega", 0), obj.get("word", ()))
 
 
@@ -115,6 +130,7 @@ def parse_perm(spec: str, r: int | None) -> AffPerm:
     parts = [int(p) for p in spec.split(",") if p != ""]
     if not parts:
         raise UsageError("empty window")
+    _check_period(r or len(parts))
     if r is None or len(parts) == r:
         try:
             return AffPerm(r or len(parts), tuple(parts)).shift(power)
@@ -131,7 +147,9 @@ def parse_comp(spec: str, n: int | None) -> Composition:
     if spec.startswith("{"):
         return _from_json(Composition.from_json, spec)
     parts = tuple(int(p) for p in spec.split(","))
-    return Composition(n or len(parts), parts)
+    comp = Composition(n or len(parts), parts)
+    _check_period(comp.r)
+    return comp
 
 
 def parse_matrix(spec: str) -> PeriodicMatrix:

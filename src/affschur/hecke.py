@@ -13,6 +13,15 @@ in W' after splitting off the rho-power (P is invariant under a common rho
 twist).  Correctness is not taken on faith: the acceptance suite re-derives
 bar(C_w) = C_w and the degree bounds over whole balls.
 
+Structure constants are computed in the C-basis through the W-graph, never
+through the T-basis.  For s a simple reflection, C_s C_w = (t + 1/t) C_w when
+sw < w, and C_s C_w = C_{sw} + sum mu(z, w) C_z over z < w with sz < z
+otherwise (Kazhdan-Lusztig 1979, (2.3.a-b)).  With s the lowest left descent
+of x = s x' this gives C_x C_y = C_s (C_x' C_y) - sum mu(z, x') C_z C_y, again
+over z < x' with sz < z.  Two memos serve it: the product on (x, y), and per
+w the list of nonzero mu(z, w) with z < w and l(w) - l(z) odd.  The T-basis
+route (h_mul of the two C_w, peeled back by t_to_c) stays as the oracle.
+
 Polynomials in q are represented in t with even exponents throughout.
 """
 
@@ -25,7 +34,7 @@ from typing import Iterable, Mapping
 from . import affperm
 from .affperm import AffPerm, bruhat_leq, bruhat_lower
 from .errors import BasisMismatch, KLInvariantViolation, PeriodMismatch
-from .laurent import ONE, Q, QINV, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
+from .laurent import ONE, Q, QINV, T, TINV, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
 from .parabolic import Composition, PeriodicMatrix, double_coset, young_elements
 
 __all__ = [
@@ -320,10 +329,52 @@ def c_to_t(a: HeckeElt) -> HeckeElt:
 # Structure constants h_{x,y,z}
 
 
+_T_PLUS_TINV = T + TINV
+
+
+@functools.lru_cache(maxsize=None)
+def _mu_list(w: AffPerm) -> tuple[tuple[AffPerm, int], ...]:
+    """The nonzero mu(z, w) with z < w and l(w) - l(z) odd; w lies in W'."""
+    lw = w.length
+    out = []
+    for z in bruhat_lower(w):
+        d = lw - z.length
+        if d % 2:
+            mu = _kl(z, w).coeff(d - 1)
+            if mu:
+                out.append((z, mu))
+    return tuple(out)
+
+
+def _add_left_gen(out: dict, i: int, s: AffPerm, w: AffPerm, c: LaurentPoly) -> None:
+    """Add c * C_{s_i} C_w to the C-basis term dict out (W-graph rule)."""
+    if i in w.left_descents:
+        out[w] = out.get(w, ZERO) + c * _T_PLUS_TINV
+        return
+    sw = s * w
+    out[sw] = out.get(sw, ZERO) + c
+    for z, mu in _mu_list(w):
+        if i in z.left_descents:
+            out[z] = out.get(z, ZERO) + c * mu
+
+
 @functools.lru_cache(maxsize=None)
 def _h_expansion_core(u: AffPerm, v: AffPerm) -> tuple[tuple[AffPerm, LaurentPoly], ...]:
-    prod = h_mul(c_elt(u), c_elt(v))
-    return tuple(sorted(t_to_c(prod).terms.items(), key=lambda p: p[0].sort_key))
+    # C_u = C_s C_u' - sum mu(z, u') C_z over z < u' with sz < z, for u = su' > u'
+    if u.is_identity():
+        return ((v, ONE),)
+    i = min(u.left_descents)
+    s = affperm.generator(u.r, i)
+    up = s * u
+    out: dict[AffPerm, LaurentPoly] = {}
+    for w, c in _h_expansion_core(up, v):
+        _add_left_gen(out, i, s, w, c)
+    for z, mu in _mu_list(up):
+        if i in z.left_descents:
+            for w, c in _h_expansion_core(z, v):
+                out[w] = out.get(w, ZERO) - c * mu
+    terms = [(w, c) for w, c in out.items() if not c.is_zero()]
+    return tuple(sorted(terms, key=lambda p: p[0].sort_key))
 
 
 def h_expansion(x: AffPerm, y: AffPerm) -> dict[AffPerm, LaurentPoly]:
@@ -334,7 +385,7 @@ def h_expansion(x: AffPerm, y: AffPerm) -> dict[AffPerm, LaurentPoly]:
     """
     a, u = x.omega_split()
     b = y.omega_degree
-    v = y * affperm.rho(y.r, -b)
+    v = y * affperm.rho(y.r, -b) if b else y
     core = _h_expansion_core(u, v)
     if a == 0 and b == 0:
         return dict(core)

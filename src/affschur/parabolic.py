@@ -48,6 +48,8 @@ class Composition:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
+        if type(self.n) is not int or any(type(p) is not int for p in self.parts):
+            raise TypeError(f"composition size and parts must be integers: {self.n}, {self.parts}")
         if self.n < 1 or len(self.parts) != self.n:
             raise InvalidMatrix(f"composition needs exactly n={self.n} parts")
         if any(p < 0 for p in self.parts):
@@ -198,6 +200,8 @@ class PeriodicMatrix:
     def __post_init__(self):
         ent = tuple(sorted(tuple(e) for e in self.entries))
         object.__setattr__(self, "entries", ent)
+        if type(self.n) is not int or any(type(v) is not int for e in ent for v in e):
+            raise TypeError(f"matrix size and entries must be integers: {self.n}, {ent}")
         if self.n < 1:
             raise InvalidMatrix("n must be at least 1")
         seen = set()

@@ -27,7 +27,7 @@ from .asymptotic import (
     lusztig_phi_schur_elt,
     q_suite,
 )
-from .hecke import c_elt, h_bar, h_expansion, kl_poly
+from .hecke import c_elt, h_bar, h_expansion, h_mul, kl_poly, t_to_c
 from .parabolic import (
     Composition,
     PeriodicMatrix,
@@ -80,13 +80,19 @@ def c01_kl_bar_oracle() -> dict:
 
 def c02_h_positive_symmetric() -> dict:
     """Nonnegativity and bar-symmetry of every h_{x,y,z} on the r=2 radius-5
-    and r=3 radius-3 windows."""
+    and r=3 radius-3 windows, each expansion C_x C_y (taken in the C-basis)
+    checked against the T-basis product of C_x and C_y peeled back."""
     checked = 0
     for r, bound in ((2, 5), (3, 3)):
         elems = ball(r, bound)
         for x in elems:
             for y in elems:
-                for z, h in h_expansion(x, y).items():
+                exp = h_expansion(x, y)
+                if exp != t_to_c(h_mul(c_elt(x), c_elt(y))).terms:
+                    return _result(
+                        False, f"C- and T-basis products differ at r={r}: ({x.window},{y.window})"
+                    )
+                for z, h in exp.items():
                     checked += 1
                     if not h.is_nonnegative() or not h.is_bar_symmetric():
                         return _result(

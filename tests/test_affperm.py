@@ -62,6 +62,16 @@ def test_window_validation():
     with pytest.raises(InvalidWindow):
         AffPerm(3, (1, 2))
     AffPerm(1, (5,))  # rho^4 at r = 1 is fine
+    for r, window in ((2, (1, "2")), (2, (1, True)), ("2", (1, 2)), (2, (1.0, 2))):
+        with pytest.raises(TypeError):
+            AffPerm(r, window)
+
+
+def test_rho_is_shared_and_still_validated():
+    assert rho(3, -2) is rho(3, -2)
+    for r in (0, -1):
+        with pytest.raises(InvalidWindow):
+            rho(r)
 
 
 def test_apply_periodicity():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from affschur import asymptotic, hecke, parabolic
 from affschur.affperm import from_word
-from affschur.cli import main
+from affschur.cli import MAX_PERIOD, main
 from affschur.parabolic import compositions, matrix_of
 from affschur.klcache import KLCache, scan_stats
 
@@ -160,10 +160,33 @@ def test_nonpositive_n_is_domain_error(capsys, argv):
     ("triple", "--A", '{"n":2,"entries":[[1,1,1.5],[2,2,0.5]]}'),
     ("length", "--w", '{"window":[1.0,2]}'),
     ("matrix", "--lam", '{"n":2,"parts":[2.0,0]}', "--mu", "1,1", "--w", "1,2"),
+    ("triple", "--A", '{"n":2,"entries":[[1,"1",1],[2,2,1]]}'),
+    ("length", "--w", '{"window":[1,"2"]}'),
+    ("length", "--w", '{"window":[1,true]}'),
+    ("matrix", "--lam", '{"n":2,"parts":["2",0]}', "--mu", "1,1", "--w", "1,2"),
+    ("hmul", "--a", '{"r":"2","terms":[]}', "--b", "0,3"),
 ])
 def test_malformed_json_shape_is_input_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("input error:"), (code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("length", "--w", '{"r":3000,"word":[]}'),
+    ("length", "--w", f'{{"r":{MAX_PERIOD + 1},"word":[0]}}'),
+    ("length", "--r", str(MAX_PERIOD + 1), "--w", "0,1"),
+    ("length", "--w", ",".join(str(i) for i in range(1, MAX_PERIOD + 2))),
+    ("triple", "--A", '{"n":1,"entries":[[1,1,1000000]]}'),
+])
+def test_period_above_bound_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("input error:"), (code, err)
+    assert f"exceeds the supported maximum {MAX_PERIOD}" in err
+
+
+def test_period_at_bound_is_accepted(capsys):
+    out = run_json(capsys, "length", "--w", f'{{"r":{MAX_PERIOD},"word":[0]}}')
+    assert out["l"] == 1 and len(out["window"]) == MAX_PERIOD
 
 
 def test_program_fault_is_not_an_input_error(capsys, monkeypatch):

@@ -194,6 +194,30 @@ def test_h_positivity_and_symmetry(r, bound):
                 assert h.is_bar_symmetric(), (x, y, z, h)
 
 
+def _t_basis_route(x, y):
+    return t_to_c(h_mul(c_elt(x), c_elt(y))).terms
+
+
+@pytest.mark.parametrize("r,bound", [(2, 6), (3, 4), (4, 3)])
+def test_h_expansion_matches_t_basis_route(r, bound):
+    # h_expansion multiplies in the C-basis through the W-graph; the oracle
+    # multiplies in the T-basis and peels the product back triangularly
+    elems = ball(r, bound)
+    for x in elems:
+        for y in elems:
+            assert h_expansion(x, y) == _t_basis_route(x, y), (x, y)
+
+
+def test_h_expansion_matches_t_basis_route_rho_twisted():
+    rng = random.Random(7)
+    for r, bound in ((2, 4), (3, 3)):
+        elems = ball(r, bound)
+        for _ in range(40):
+            x = rng.choice(elems).shift(rng.randint(-2, 2))
+            y = rng.choice(elems) * rho(r, rng.randint(-2, 2))
+            assert h_expansion(x, y) == _t_basis_route(x, y), (x, y)
+
+
 def test_h_inverse_symmetry():
     for x in ball(2, 4):
         for y in ball(2, 4):

@@ -41,6 +41,11 @@ def test_composition_basics():
         Composition(2, (1, -1))
     with pytest.raises(InvalidMatrix):
         Composition(2, (0, 0))
+    for n, parts in ((2, ("1", 1)), (2, (True, 1)), (2.0, (1, 1))):
+        with pytest.raises(TypeError):
+            Composition(n, parts)
+    with pytest.raises(TypeError):
+        PeriodicMatrix(2, ((1, "1", 1), (2, 2, 1)))
 
 
 @pytest.mark.parametrize("n", [0, -1])

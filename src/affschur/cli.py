@@ -147,9 +147,7 @@ def parse_comp(spec: str, n: int | None) -> Composition:
     if spec.startswith("{"):
         return _from_json(Composition.from_json, spec)
     parts = tuple(int(p) for p in spec.split(","))
-    comp = Composition(n or len(parts), parts)
-    _check_period(comp.r)
-    return comp
+    return Composition(n or len(parts), parts)
 
 
 def parse_matrix(spec: str) -> PeriodicMatrix:

@@ -18,9 +18,11 @@ through the T-basis.  For s a simple reflection, C_s C_w = (t + 1/t) C_w when
 sw < w, and C_s C_w = C_{sw} + sum mu(z, w) C_z over z < w with sz < z
 otherwise (Kazhdan-Lusztig 1979, (2.3.a-b)).  With s the lowest left descent
 of x = s x' this gives C_x C_y = C_s (C_x' C_y) - sum mu(z, x') C_z C_y, again
-over z < x' with sz < z.  Two memos serve it: the product on (x, y), and per
-w the list of nonzero mu(z, w) with z < w and l(w) - l(z) odd.  The T-basis
-route (h_mul of the two C_w, peeled back by t_to_c) stays as the oracle.
+over z < x' with sz < z.  Two memos serve it: every product on (x, y) the
+recursion forms, and per w the list of nonzero mu(z, w) with z < w and
+l(w) - l(z) odd.  The pairs that callers ask for are counted apart, in the
+lru_cache of _h_expansion_core.  The T-basis route (h_mul of the two C_w,
+peeled back by t_to_c) stays as the oracle.
 
 Polynomials in q are represented in t with even exponents throughout.
 """
@@ -340,7 +342,7 @@ def _mu_list(w: AffPerm) -> tuple[tuple[AffPerm, int], ...]:
     for z in bruhat_lower(w):
         d = lw - z.length
         if d % 2:
-            mu = _kl(z, w).coeff(d - 1)
+            mu = kl_mu(z, w)
             if mu:
                 out.append((z, mu))
     return tuple(out)
@@ -358,23 +360,35 @@ def _add_left_gen(out: dict, i: int, s: AffPerm, w: AffPerm, c: LaurentPoly) -> 
             out[z] = out.get(z, ZERO) + c * mu
 
 
-@functools.lru_cache(maxsize=None)
-def _h_expansion_core(u: AffPerm, v: AffPerm) -> tuple[tuple[AffPerm, LaurentPoly], ...]:
+_PRODUCTS: dict[tuple[AffPerm, AffPerm], tuple[tuple[AffPerm, LaurentPoly], ...]] = {}
+
+
+def _c_product(u: AffPerm, v: AffPerm) -> tuple[tuple[AffPerm, LaurentPoly], ...]:
     # C_u = C_s C_u' - sum mu(z, u') C_z over z < u' with sz < z, for u = su' > u'
+    hit = _PRODUCTS.get((u, v))
+    if hit is not None:
+        return hit
     if u.is_identity():
         return ((v, ONE),)
     i = min(u.left_descents)
     s = affperm.generator(u.r, i)
     up = s * u
     out: dict[AffPerm, LaurentPoly] = {}
-    for w, c in _h_expansion_core(up, v):
+    for w, c in _c_product(up, v):
         _add_left_gen(out, i, s, w, c)
     for z, mu in _mu_list(up):
         if i in z.left_descents:
-            for w, c in _h_expansion_core(z, v):
+            for w, c in _c_product(z, v):
                 out[w] = out.get(w, ZERO) - c * mu
     terms = [(w, c) for w, c in out.items() if not c.is_zero()]
-    return tuple(sorted(terms, key=lambda p: p[0].sort_key))
+    val = _PRODUCTS[(u, v)] = tuple(sorted(terms, key=lambda p: p[0].sort_key))
+    return val
+
+
+@functools.lru_cache(maxsize=None)
+def _h_expansion_core(u: AffPerm, v: AffPerm) -> tuple[tuple[AffPerm, LaurentPoly], ...]:
+    # memo of the pairs h_expansion asks for; the sub-products stay in _PRODUCTS
+    return _c_product(u, v)
 
 
 def h_expansion(x: AffPerm, y: AffPerm) -> dict[AffPerm, LaurentPoly]:
@@ -383,6 +397,8 @@ def h_expansion(x: AffPerm, y: AffPerm) -> dict[AffPerm, LaurentPoly]:
     Computed once per rho-normalized pair: h_{rho^a u, v rho^b, rho^a z rho^b}
     equals h_{u,v,z}, so the memo key lives in W' x W'.
     """
+    if x.r != y.r:
+        raise PeriodMismatch(f"periods {x.r} and {y.r} differ")
     a, u = x.omega_split()
     b = y.omega_degree
     v = y * affperm.rho(y.r, -b) if b else y

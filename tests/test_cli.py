@@ -199,6 +199,13 @@ def test_program_fault_is_not_an_input_error(capsys, monkeypatch):
         main(["triple", "--A", _M])
 
 
+@pytest.mark.parametrize("x", ["1,2", "2,1"])
+def test_hstruct_mismatched_periods_is_domain_error(capsys, x):
+    code, out, err = run_cli(capsys, "hstruct", "--x", x, "--y", "2,1,3", "--z", "2,1,3")
+    assert code == 2 and out == "" and err.startswith("domain error:"), (code, err)
+    assert "periods 2 and 3 differ" in err
+
+
 @pytest.mark.parametrize("command", ["matrix", "cosets"])
 def test_mismatched_compositions_are_domain_errors(capsys, command):
     code, _, err = run_cli(capsys, command, "--lam", "1,1", "--mu", "2,1", "--w", "1,2")

@@ -13,7 +13,7 @@ import pytest
 
 from affschur import affperm, hecke
 from affschur.affperm import ball, bruhat_leq, from_word, generator, identity, rho
-from affschur.errors import BasisMismatch
+from affschur.errors import BasisMismatch, PeriodMismatch
 from affschur.hecke import (
     HeckeElt,
     c_elt,
@@ -216,6 +216,13 @@ def test_h_expansion_matches_t_basis_route_rho_twisted():
             x = rng.choice(elems).shift(rng.randint(-2, 2))
             y = rng.choice(elems) * rho(r, rng.randint(-2, 2))
             assert h_expansion(x, y) == _t_basis_route(x, y), (x, y)
+
+
+def test_h_expansion_rejects_mismatched_periods():
+    # the identity and a left-descent pair would otherwise never reach a product
+    for x, y in ((identity(2), identity(3)), (from_word(2, 0, [0]), from_word(3, 0, [0]))):
+        with pytest.raises(PeriodMismatch, match="periods 2 and 3 differ"):
+            h_expansion(x, y)
 
 
 def test_h_inverse_symmetry():

@@ -462,20 +462,12 @@ def _transitive_closure(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, i
 
 
 def _scc_partition(n: int, relation: set[tuple[int, int]]) -> list[list[int]]:
-    cells = []
-    assigned = [False] * n
-    for i in range(n):
-        if assigned[i]:
-            continue
-        cell = [
-            j
-            for j in range(n)
-            if (i, j) in relation and (j, i) in relation and not assigned[j]
-        ]
-        for j in cell:
-            assigned[j] = True
-        cells.append(sorted(cell))
-    return sorted(cells)
+    # relation is a reflexive-transitive closure: group by mutual reachability
+    classes = {
+        tuple(j for j in range(n) if (i, j) in relation and (j, i) in relation)
+        for i in range(n)
+    }
+    return sorted(map(list, classes))
 
 
 def hecke_sim_L(x: AffPerm, y: AffPerm, length_bound: int = 4) -> bool:
@@ -493,11 +485,7 @@ def schur_sim_R(A: PeriodicMatrix, B: PeriodicMatrix, length_bound: int = 4) -> 
     return bool(gamma_mat_expansion(A.transpose(), B, length_bound))
 
 
-def cell_preorder(
-    elements,
-    flavor: str = "L",
-    length_bound: int = 4,
-) -> CellReport:
+def cell_preorder(elements, flavor: str = "L") -> CellReport:
     """Window-bounded cell preorder over Hecke elements or matrices.
 
     One-step relations come from products with left (and, for LR, right)
@@ -531,14 +519,14 @@ def cell_preorder(
         edges = left_edges(elements)
     elif flavor == "R":
         flip = (lambda w: w.inverse) if is_hecke else (lambda A: A.transpose())
-        rep = cell_preorder([flip(k) for k in elements], "L", length_bound)
+        rep = cell_preorder([flip(k) for k in elements], "L")
         edges = {
             (index[flip(rep.elements[a])], index[flip(rep.elements[b])])
             for a, b in rep.edges
         }
     elif flavor == "LR":
-        left = cell_preorder(elements, "L", length_bound).edges
-        right = cell_preorder(elements, "R", length_bound).edges
+        left = cell_preorder(elements, "L").edges
+        right = cell_preorder(elements, "R").edges
         edges = set(left) | set(right)
     else:
         raise BasisMismatch(f"unknown cell flavor {flavor!r}")
@@ -823,7 +811,7 @@ def q_suite(
     # preorders from the sound one-step edges of in-window products; the
     # window is transpose-closed, so R-edges are the transposed L-edges
     index = {A: i for i, A in enumerate(win)}
-    edges_L = set(cell_preorder(win, "L", length_bound).edges)
+    edges_L = set(cell_preorder(win, "L").edges)
     edges_R = {(index[win[a].transpose()], index[win[b].transpose()]) for a, b in edges_L}
     rel_L = _transitive_closure(len(win), edges_L)
     rel_R = _transitive_closure(len(win), edges_R)

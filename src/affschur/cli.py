@@ -382,7 +382,7 @@ def cmd_cells(args, cfg) -> int:
         elems = list(affperm.ball(cfg["r"], cfg["L"]))
     else:
         elems = list(parabolic.enumerate_theta(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"]))
-    report = asymptotic.cell_preorder(elems, args.flavor, cfg["L"])
+    report = asymptotic.cell_preorder(elems, args.flavor)
     emit(report.to_json(), cfg["format"])
     return EXIT_OK
 

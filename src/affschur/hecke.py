@@ -4,25 +4,28 @@ Kazhdan-Lusztig polynomials, both canonical bases, and structure constants.
 Conventions.  The ground ring is Z[t, 1/t] with q = t^2.  The T-basis obeys
 (T_s + 1)(T_s - q) = 0 and T_w T_w' = T_ww' whenever lengths add; T_rho
 multiplies length-freely.  C_w = t^{-l(w)} sum_{y <= w} P_{y,w}(q) T_y is the
-positive canonical basis and C'_w its signed twin; both are bar-invariant.
+positive canonical basis and C'_w = (-1)^{l(w)} j(C_w) its signed twin; both
+are bar-invariant.
 
 Kazhdan-Lusztig polynomials are produced by the classical left-multiplication
 recursion: pick the lowest-index left descent s of w, combine P_{sy,sw} and
-P_{y,sw}, and subtract the mu-corrections.  The memo table is keyed by pairs
-in W' after splitting off the rho-power (P is invariant under a common rho
-twist).  Correctness is not taken on faith: the acceptance suite re-derives
-bar(C_w) = C_w and the degree bounds over whole balls.
+P_{y,sw}, and subtract mu(z, sw) P_{y,z} over z with sz < z and y <= z.  One
+list per w, of the nonzero mu(z, w) with z < w and l(w) - l(z) odd, feeds
+both this recursion and the C-basis product below; the recursion's Bruhat
+tests are lookups in the cached lower ideals.  The memo table is keyed by
+pairs in W' after splitting off the rho-power (P is invariant under a common
+rho twist).  Correctness is not taken on faith: the acceptance suite
+re-derives bar(C_w) = C_w and the degree bounds over whole balls.
 
 Structure constants are computed in the C-basis through the W-graph, never
 through the T-basis.  For s a simple reflection, C_s C_w = (t + 1/t) C_w when
 sw < w, and C_s C_w = C_{sw} + sum mu(z, w) C_z over z < w with sz < z
 otherwise (Kazhdan-Lusztig 1979, (2.3.a-b)).  With s the lowest left descent
 of x = s x' this gives C_x C_y = C_s (C_x' C_y) - sum mu(z, x') C_z C_y, again
-over z < x' with sz < z.  Two memos serve it: every product on (x, y) the
-recursion forms, and per w the list of nonzero mu(z, w) with z < w and
-l(w) - l(z) odd.  The pairs that callers ask for are counted apart, in the
-lru_cache of _h_expansion_core.  The T-basis route (h_mul of the two C_w,
-peeled back by t_to_c) stays as the oracle.
+over z < x' with sz < z.  Besides the mu-lists, one memo serves it: every
+product on (x, y) the recursion forms.  The pairs that callers ask for are
+counted apart, in the lru_cache of _h_expansion_core.  The T-basis route
+(h_mul of the two C_w, peeled back by t_to_c) stays as the oracle.
 
 Polynomials in q are represented in t with even exponents throughout.
 """
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import affperm
-from .affperm import AffPerm, bruhat_leq, bruhat_lower
+from .affperm import AffPerm, bruhat_lower
 from .errors import BasisMismatch, KLInvariantViolation, PeriodMismatch
 from .laurent import ONE, Q, QINV, T, TINV, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
 from .parabolic import Composition, PeriodicMatrix, double_coset, young_elements
@@ -242,7 +245,7 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
         return hit
     if y == w:
         val = ONE
-    elif not bruhat_leq(y, w):
+    elif y not in bruhat_lower(w):
         val = ZERO
     else:
         i = min(w.left_descents)
@@ -253,12 +256,9 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
             val = _kl(sy, v) + Q * _kl(y, v)
         else:
             val = Q * _kl(sy, v) + _kl(y, v)
-        # y, z and v all lie in W', so Bruhat order needs no rho-split here
-        for z in bruhat_lower(v):
-            if i in z.left_descents and affperm._leq_coxeter(y, z):
-                mu = kl_mu(z, v)
-                if mu:
-                    val = val - mu * t_pow(w.length - z.length) * _kl(y, z)
+        for z, mu in _mu_list(v):
+            if i in z.left_descents and y in bruhat_lower(z):
+                val = val - mu * t_pow(w.length - z.length) * _kl(y, z)
         # P_{y,w} is a polynomial in q of q-degree <= (l(w) - l(y) - 1)/2
         if not val.in_q() or val.min_degree() < 0 or (
             val.degree() > w.length - y.length - 1
@@ -267,6 +267,20 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
     _KL[key] = val
     _KL_STATS["computed"] += 1
     return val
+
+
+@functools.lru_cache(maxsize=None)
+def _mu_list(w: AffPerm) -> tuple[tuple[AffPerm, int], ...]:
+    """The nonzero mu(z, w) with z < w and l(w) - l(z) odd; w lies in W'."""
+    lw = w.length
+    out = []
+    for z in bruhat_lower(w):
+        d = lw - z.length
+        if d % 2:
+            mu = _kl(z, w).coeff(d - 1)
+            if mu:
+                out.append((z, mu))
+    return tuple(out)
 
 
 def kl_mu(y: AffPerm, w: AffPerm) -> int:
@@ -289,16 +303,10 @@ def c_elt(w: AffPerm) -> HeckeElt:
     return HeckeElt(w.r, "T", terms)
 
 
-@functools.lru_cache(maxsize=None)
 def cprime_elt(w: AffPerm) -> HeckeElt:
-    """C'_w = sum_{y <= w} (-1)^{l(w)-l(y)} t^{l(w)-2l(y)} P_{y,w}(1/q) T_y."""
-    a, u = w.omega_split()
-    lw = u.length
-    terms = {}
-    for y in bruhat_lower(u):
-        sign = -1 if (lw - y.length) % 2 else 1
-        terms[y.shift(a)] = t_pow(lw - 2 * y.length, sign) * _kl(y, u).bar()
-    return HeckeElt(w.r, "T", terms)
+    """C'_w = (-1)^{l(w)} j(C_w), that is
+    sum_{y <= w} (-1)^{l(w)-l(y)} t^{l(w)-2l(y)} P_{y,w}(1/q) T_y."""
+    return j_inv(c_elt(w)).scale(-1 if w.length % 2 else 1)
 
 
 def t_to_c(a: HeckeElt) -> HeckeElt:
@@ -332,20 +340,6 @@ def c_to_t(a: HeckeElt) -> HeckeElt:
 
 
 _T_PLUS_TINV = T + TINV
-
-
-@functools.lru_cache(maxsize=None)
-def _mu_list(w: AffPerm) -> tuple[tuple[AffPerm, int], ...]:
-    """The nonzero mu(z, w) with z < w and l(w) - l(z) odd; w lies in W'."""
-    lw = w.length
-    out = []
-    for z in bruhat_lower(w):
-        d = lw - z.length
-        if d % 2:
-            mu = kl_mu(z, w)
-            if mu:
-                out.append((z, mu))
-    return tuple(out)
 
 
 def _add_left_gen(out: dict, i: int, s: AffPerm, w: AffPerm, c: LaurentPoly) -> None:

@@ -264,6 +264,25 @@ def test_unchecked_results_pass_validation(case):
     assert rho(x.r, a) * u == x and u.omega_degree == 0
 
 
+@st.composite
+def perm_triples(draw):
+    """Three elements of one W with r in 1..4, each a random word times a rho-power."""
+    r = draw(st.integers(1, 4))
+    words = st.lists(st.integers(0, r - 1), max_size=8) if r >= 2 else st.just([])
+    return tuple(from_word(r, draw(st.integers(-3, 3)), draw(words)) for _ in range(3))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(perm_triples())
+def test_group_laws(case):
+    x, y, z = case
+    assert (x * y) * z == x * (y * z)
+    assert (x * y).inverse == y.inverse * x.inverse
+    assert x * x.inverse == identity(x.r) == x.inverse * x
+    assert x.inverse.length == x.length
+    assert (x * y).omega_degree == x.omega_degree + y.omega_degree
+
+
 def test_module_doctests():
     result = doctest.testmod(affperm)
     assert result.attempted > 0 and result.failed == 0

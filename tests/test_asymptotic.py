@@ -217,7 +217,7 @@ def test_lusztig_phi_schur_multiplicative_window():
 
 
 def test_hecke_cells_r2():
-    report = cell_preorder(ball(2, 4), "L", 4)
+    report = cell_preorder(ball(2, 4), "L")
     nonunit = [i for i, w in enumerate(report.elements) if not w.is_identity()]
     cells = [c for c in report.cells if set(c) <= set(nonunit)]
     assert len(cells) == 2
@@ -232,7 +232,7 @@ def test_hecke_cells_r2():
 def test_hecke_cell_criterion_matches_scc():
     # 2.4(a): y ~L w iff t_y t_{w^{-1}} != 0, against the SCC partition
     elems = ball(2, 4)
-    report = cell_preorder(elems, "L", 4)
+    report = cell_preorder(elems, "L")
     cls = {}
     for ci, cell in enumerate(report.cells):
         for i in cell:
@@ -241,7 +241,7 @@ def test_hecke_cell_criterion_matches_scc():
         for w in elems:
             assert hecke_sim_L(y, w, 4) == (cls[y] == cls[w]), (y, w)
     # 2.4(b): y ~LR w iff t_y t_x t_w != 0 for some x, against the LR SCCs
-    lr = cell_preorder(elems, "LR", 4)
+    lr = cell_preorder(elems, "LR")
     lr_cls = {}
     for ci, cell in enumerate(lr.cells):
         for i in cell:
@@ -362,7 +362,7 @@ def test_cell_preorder_multiplies_only_composable_pairs(monkeypatch):
         return g_expansion(A, B)
 
     monkeypatch.setattr(asymptotic, "g_expansion", recording)
-    cell_preorder(enumerate_theta(2, 2, 2, (-1, 1)), "LR", 2)
+    cell_preorder(enumerate_theta(2, 2, 2, (-1, 1)), "LR")
     assert pairs and all(A.co == B.ro for A, B in pairs)
 
 

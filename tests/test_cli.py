@@ -332,6 +332,9 @@ GOLDEN_CLI = [
     (("lowest-cell", "--n", "2", "--r", "2", "--L", "3", "--omega-window=-1:1"), "a8bc1fb333be1ad6"),
     (("qsuite", *_WINDOW), "ebd78614b2bdc0aa"),
     (("qsuite", "--n", "1", "--r", "2", "--L", "3", "--omega-window=-1:1"), "9e84780d3efa98c9"),
+    (("cbasis", "--r", "2", "--w", "0,1,0", "--prime"), "7b9dc94644815294"),
+    (("cbasis", "--w=-3,4,5", "--prime"), "0d7e09ebfa61ccfe"),
+    (("cbasis", "--r", "3", "--w", "0,1,2,0,1^-1", "--prime"), "abafef2564d0a020"),
 ]
 
 

@@ -357,3 +357,35 @@ def test_golden_kl_memo():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["5329", "d217b1339789b14b"]
+
+
+# The lazy path: P_{1,w} and Delta(w) asked for one w at a time, with no C_w
+# built first, so the recursion alone decides which records it computes.  The
+# digest covers the values only, not the memo records behind them.
+_GOLDEN_LAZY = """
+import hashlib, json
+from affschur.affperm import ball, identity
+from affschur.asymptotic import delta_cap
+from affschur.hecke import kl_poly
+h = hashlib.sha256()
+for r, L in ((3, 8), (4, 5)):
+    for w in ball(r, L):
+        rec = [r, list(w.window), kl_poly(identity(r), w).to_json(), delta_cap(w)]
+        h.update((json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\\n").encode())
+print(h.hexdigest()[:16])
+"""
+
+
+def test_golden_lazy_kl_path():
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_LAZY], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["f40b1f90707d2e74"]
+
+
+@pytest.mark.parametrize("r,L", [(3, 6), (4, 4)])
+def test_mu_list_matches_brute_force(r, L):
+    for w in ball(r, L):
+        brute = {(z, kl_mu(z, w)) for z in affperm.bruhat_lower(w)}
+        assert set(hecke._mu_list(w)) == {(z, mu) for z, mu in brute if mu}

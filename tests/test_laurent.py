@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affschur import laurent
 from affschur.errors import DivisionByZero, InexactDivision, ZeroBase
@@ -93,6 +95,17 @@ def test_exact_div_roundtrip_randomized():
         if b.is_zero():
             continue
         assert (a * b).exact_div(b) == a
+
+
+_polys = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=4).map(LaurentPoly)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_polys, _polys.filter(lambda b: len(list(b.items())) >= 2), st.integers(-6, 6))
+def test_exact_div_rejects_remainder(a, b, k):
+    # t^k is a unit and b is not, so b never divides a*b + t^k
+    with pytest.raises(InexactDivision):
+        (a * b + t_pow(k)).exact_div(b)
 
 
 def test_in_q_closed_under_product():

@@ -7,6 +7,12 @@ multiplies length-freely.  C_w = t^{-l(w)} sum_{y <= w} P_{y,w}(q) T_y is the
 positive canonical basis and C'_w = (-1)^{l(w)} j(C_w) its signed twin; both
 are bar-invariant.
 
+The bar involution sends T_w to T_{w^{-1}}^{-1}.  That element is built once
+per w from a shorter one, by a single right multiplication by T_s^{-1} =
+q^{-1} T_s + (q^{-1} - 1) for s the lowest right descent of w, and is memoized;
+it uses the T-basis rule alone and never the KL layer, so bar(C_w) = C_w stays
+an independent oracle.
+
 Kazhdan-Lusztig polynomials are produced by the classical left-multiplication
 recursion: pick the lowest-index left descent s of w, combine P_{sy,sw} and
 P_{y,sw}, and subtract mu(z, sw) P_{y,z} over z with sz < z and y <= z.  One
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import affperm
@@ -123,19 +130,19 @@ def t_elt(w: AffPerm, coeff: "LaurentPoly | int" = 1) -> HeckeElt:
 # T-basis multiplication
 
 
-def _mul_gen_right(terms: dict[AffPerm, LaurentPoly], r: int, i: int) -> dict:
-    """Right-multiply a T-basis term dict by T_{s_i}."""
-    s = affperm.generator(r, i)
-    qm1 = Q - 1
-    out: dict[AffPerm, LaurentPoly] = {}
-    for w, c in terms.items():
-        ws = w * s
-        if ws.length > w.length:
-            out[ws] = out.get(ws, ZERO) + c
-        else:
-            out[ws] = out.get(ws, ZERO) + c * Q
-            out[w] = out.get(w, ZERO) + c * qm1
-    return {w: c for w, c in out.items() if not c.is_zero()}
+def _mul_gen_right(terms: Mapping[AffPerm, LaurentPoly], s: AffPerm, a: LaurentPoly,
+                   b: LaurentPoly) -> dict:
+    """Right-multiply a T-basis term dict by a T_s + b, for s a simple reflection.
+
+    x T_s = T_{xs} if xs > x, and q T_{xs} + (q - 1) T_x otherwise.
+    """
+    aq, rest = a * Q, a * (Q - 1) + b
+
+    def image(x: AffPerm):
+        xs = x * s
+        return ((xs, a), (x, b)) if xs.length > x.length else ((xs, aq), (x, rest))
+
+    return linear(terms, image)
 
 
 def _mul_word_right(
@@ -146,7 +153,7 @@ def _mul_word_right(
         rho = affperm.rho(r, omega)
         terms = {w * rho: c for w, c in terms.items()}
     for i in word:
-        terms = _mul_gen_right(terms, r, i)
+        terms = _mul_gen_right(terms, affperm.generator(r, i), ONE, ZERO)
     return terms
 
 
@@ -170,27 +177,20 @@ def h_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
 # Bar involution
 
 
+_TS_INV = (QINV, QINV - 1)  # T_s^{-1} = q^{-1} T_s + (q^{-1} - 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _bar_t(w: AffPerm) -> HeckeElt:
-    """The element (T_{w^{-1}})^{-1} in the T-basis."""
-    r = w.r
-    omega, word = w.reduced_word()
-    # T_{w^{-1}}^{-1} = T_{rho^omega} * T_{s_{i_1}}^{-1} ... T_{s_{i_k}}^{-1}
-    terms: dict[AffPerm, LaurentPoly] = {affperm.rho(r, omega): ONE}
-    qinv_m1 = QINV - 1
-    for i in word:
-        s = affperm.generator(r, i)
-        out: dict[AffPerm, LaurentPoly] = {}
-        for u, c in terms.items():
-            us = u * s
-            # x * T_s^{-1} = q^{-1} (x T_s) + (q^{-1} - 1) x; the descent case collapses
-            if us.length > u.length:
-                out[us] = out.get(us, ZERO) + c * QINV
-                out[u] = out.get(u, ZERO) + c * qinv_m1
-            else:
-                out[us] = out.get(us, ZERO) + c
-        terms = {u: c for u, c in out.items() if not c.is_zero()}
-    return HeckeElt(r, "T", terms)
+    """The element (T_{w^{-1}})^{-1} in the T-basis.
+
+    For s the lowest-index right descent of w, T_{w^{-1}}^{-1} equals
+    T_{(ws)^{-1}}^{-1} T_s^{-1}; with no right descent w = rho^a is its own value.
+    """
+    if not w.right_descents:
+        return HeckeElt(w.r, "T", {w: ONE})
+    s = affperm.generator(w.r, min(w.right_descents))
+    return HeckeElt(w.r, "T", _mul_gen_right(_bar_t(w * s).terms, s, *_TS_INV))
 
 
 def h_bar(a: HeckeElt) -> HeckeElt:
@@ -380,13 +380,13 @@ def _c_product(u: AffPerm, v: AffPerm) -> tuple[tuple[AffPerm, LaurentPoly], ...
 
 
 @functools.lru_cache(maxsize=None)
-def _h_expansion_core(u: AffPerm, v: AffPerm) -> tuple[tuple[AffPerm, LaurentPoly], ...]:
+def _h_expansion_core(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
     # memo of the pairs h_expansion asks for; the sub-products stay in _PRODUCTS
-    return _c_product(u, v)
+    return MappingProxyType(dict(_c_product(u, v)))
 
 
-def h_expansion(x: AffPerm, y: AffPerm) -> dict[AffPerm, LaurentPoly]:
-    """The full expansion C_x C_y = sum_z h_{x,y,z} C_z as a dict.
+def h_expansion(x: AffPerm, y: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
+    """The full expansion C_x C_y = sum_z h_{x,y,z} C_z as a read-only mapping.
 
     Computed once per rho-normalized pair: h_{rho^a u, v rho^b, rho^a z rho^b}
     equals h_{u,v,z}, so the memo key lives in W' x W'.
@@ -398,10 +398,10 @@ def h_expansion(x: AffPerm, y: AffPerm) -> dict[AffPerm, LaurentPoly]:
     v = y * affperm.rho(y.r, -b) if b else y
     core = _h_expansion_core(u, v)
     if a == 0 and b == 0:
-        return dict(core)
+        return core
     ra = affperm.rho(x.r, a)
     rb = affperm.rho(x.r, b)
-    return {ra * z * rb: h for z, h in core}
+    return {ra * z * rb: h for z, h in core.items()}
 
 
 def h_struct(x: AffPerm, y: AffPerm, z: AffPerm) -> LaurentPoly:

@@ -7,6 +7,10 @@ Coefficients are Python bignums, exponents are stored sparsely, and the zero
 polynomial is the empty dict.  The algebras built over this ring are free
 modules with a distinguished basis; ``Combination`` is their shared element
 arithmetic and ``linear`` / ``bilinear`` extend maps defined on basis keys.
+Both run one fused multiply-accumulate kernel: the products c_k * d are summed
+into raw {exponent: coefficient} dicts, one per output key, and a LaurentPoly
+is built per key only at the end.  An image coefficient may be a plain int,
+read as a constant polynomial.
 
 >>> p = T + T**-1
 >>> p * p == T**2 + 2 + T**-2
@@ -315,23 +319,34 @@ class Combination:
         return out
 
 
+def _coeffs(c: "LaurentPoly | int") -> Mapping[int, int]:
+    """The {exponent: coefficient} dict of c; an int is a constant polynomial."""
+    return c._c if isinstance(c, LaurentPoly) else {0: c}
+
+
 def linear(terms: Mapping, image: Callable[[object], Iterable[tuple]]) -> dict:
-    """sum_k c_k image(k) as a term dict, for image(k) given as (key, coeff) pairs."""
+    """sum_k c_k image(k) as a term dict, for image(k) given as (key, coeff) pairs;
+    coefficients may be LaurentPolys or ints, and keys that cancel drop out."""
     acc: dict = {}
     for k, c in terms.items():
+        cc = _coeffs(c).items()
         for k2, d in image(k):
-            acc[k2] = acc.get(k2, ZERO) + c * d
-    return acc
+            dd = _coeffs(d).items()
+            if not dd:
+                continue
+            row = acc.get(k2)
+            if row is None:
+                row = acc[k2] = {}
+            for e1, v1 in cc:
+                for e2, v2 in dd:
+                    e = e1 + e2
+                    row[e] = row.get(e, 0) + v1 * v2
+    return {k: p for k, row in acc.items() if (p := LaurentPoly(row))}
 
 
 def bilinear(
     a: Mapping, b: Mapping, image: Callable[[object, object], Iterable[tuple]]
 ) -> dict:
     """sum_{x,y} a_x b_y image(x, y) as a term dict: the bilinear extension."""
-    acc: dict = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            cxy = cx * cy
-            for z, d in image(x, y):
-                acc[z] = acc.get(z, ZERO) + cxy * d
-    return acc
+    pairs = {(x, y): cx * cy for x, cx in a.items() for y, cy in b.items()}
+    return linear(pairs, lambda p: image(*p))

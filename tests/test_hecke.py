@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affschur import affperm, hecke
 from affschur.affperm import ball, bruhat_leq, from_word, generator, identity, rho
@@ -96,6 +98,55 @@ def test_bar_is_ring_map():
     for _ in range(10):
         a, b = (t_elt(rng.choice(elems)) for _ in range(2))
         assert h_bar(h_mul(a, b)) == h_mul(h_bar(a), h_bar(b))
+
+
+def _bar_t_by_word(w):
+    """T_{w^{-1}}^{-1} = T_{rho^a} T_{s_{i1}}^{-1} ... T_{s_{ik}}^{-1}, replayed over the
+    whole reduced word rho^a s_{i1} ... s_{ik} of w."""
+    omega, word = w.reduced_word()
+    terms = {rho(w.r, omega): ONE}
+    for i in word:
+        s = generator(w.r, i)
+        out = {}
+        for u, c in terms.items():
+            us = u * s
+            # u T_s^{-1} = q^{-1} T_{us} + (q^{-1} - 1) T_u if us > u, else T_{us}
+            if us.length > u.length:
+                out[us] = out.get(us, ZERO) + c * QINV
+                out[u] = out.get(u, ZERO) + c * (QINV - 1)
+            else:
+                out[us] = out.get(us, ZERO) + c
+        terms = out
+    return HeckeElt(w.r, "T", terms)
+
+
+@pytest.mark.parametrize("r,L", [(3, 7), (4, 5)])
+def test_bar_t_matches_reduced_word_oracle(r, L):
+    for w in ball(r, L):
+        for a in (-1, 0, 1):
+            for x in (w.shift(a), w * rho(r, a)):
+                assert hecke._bar_t(x) == _bar_t_by_word(x), x
+
+
+@st.composite
+def t_combination_pairs(draw):
+    r = draw(st.integers(2, 4))
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=2).map(LaurentPoly)
+    perms = st.builds(
+        lambda a, word: from_word(r, a, word),
+        st.integers(-1, 1),
+        st.lists(st.integers(0, r - 1), max_size=4),
+    )
+    combo = st.dictionaries(perms, coeffs, max_size=3).map(lambda t: HeckeElt(r, "T", t))
+    return draw(combo), draw(combo)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(t_combination_pairs())
+def test_bar_is_involutive_ring_map(pair):
+    a, b = pair
+    assert h_bar(h_bar(a)) == a
+    assert h_bar(h_mul(a, b)) == h_mul(h_bar(a), h_bar(b))
 
 
 def test_kl_poly_examples():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from affschur import laurent
 from affschur.errors import DivisionByZero, InexactDivision, ZeroBase
-from affschur.laurent import NEG_INF, ONE, Q, T, TINV, ZERO, LaurentPoly, t_pow
+from affschur.laurent import NEG_INF, ONE, Q, T, TINV, ZERO, LaurentPoly, bilinear, linear, t_pow
 
 
 def rand_poly(rng, span=4, size=4, bound=9):
@@ -106,6 +106,70 @@ def test_exact_div_rejects_remainder(a, b, k):
     # t^k is a unit and b is not, so b never divides a*b + t^k
     with pytest.raises(InexactDivision):
         (a * b + t_pow(k)).exact_div(b)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_polys, _polys, _polys)
+def test_ring_laws(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_polys, _polys)
+def test_bar_is_ring_automorphism_property(a, b):
+    assert (a * b).bar() == a.bar() * b.bar()
+    assert (a + b).bar() == a.bar() + b.bar()
+    assert a.bar().bar() == a
+
+
+# linear / bilinear against the naive term-by-term sum.  Keys and exponents
+# are drawn from small ranges so that coefficients often cancel to zero, and
+# image coefficients may be plain ints (as the gamma expansions yield them).
+_keys = st.integers(0, 3)
+_image_coeffs = st.one_of(_polys, st.integers(-3, 3))
+_images = st.lists(st.tuples(_keys, _image_coeffs), max_size=4)
+
+
+def _naive_sum(products) -> dict:
+    acc = {}
+    for k, c, d in products:
+        acc[k] = acc.get(k, ZERO) + c * d
+    return {k: c for k, c in acc.items() if not c.is_zero()}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.dictionaries(_keys, _polys, max_size=4), st.dictionaries(_keys, _images))
+def test_linear_matches_naive_sum(terms, table):
+    image = lambda k: table.get(k, [])  # noqa: E731
+    naive = _naive_sum((k2, c, d) for k, c in terms.items() for k2, d in image(k))
+    assert linear(terms, image) == naive
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.dictionaries(_keys, _polys, max_size=3),
+    st.dictionaries(_keys, _polys, max_size=3),
+    st.dictionaries(st.tuples(_keys, _keys), _images),
+)
+def test_bilinear_matches_naive_sum(a, b, table):
+    image = lambda x, y: table.get((x, y), [])  # noqa: E731
+    naive = _naive_sum(
+        (z, cx * cy, d) for x, cx in a.items() for y, cy in b.items() for z, d in image(x, y)
+    )
+    assert bilinear(a, b, image) == naive
+
+
+def test_linear_edge_cases():
+    image = lambda k: [("z", T), (k, 2)]  # noqa: E731
+    assert linear({}, image) == {}
+    assert linear({0: ONE}, lambda k: []) == {}
+    assert bilinear({}, {0: ONE}, lambda x, y: [("z", ONE)]) == {}
+    # the "z" terms cancel; int image coefficients act as constants
+    assert linear({0: ONE, 1: -ONE}, image) == {0: LaurentPoly(2), 1: LaurentPoly(-2)}
+    assert linear({0: T, 1: -T}, lambda k: [("z", 3)]) == {}
+    assert bilinear({0: T}, {1: TINV}, lambda x, y: [((x, y), -1)]) == {(0, 1): -ONE}
 
 
 def test_in_q_closed_under_product():

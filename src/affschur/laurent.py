@@ -337,8 +337,10 @@ def linear(terms: Mapping, image: Callable[[object], Iterable[tuple]]) -> dict:
             row = acc.get(k2)
             if row is None:
                 row = acc[k2] = {}
-            for e1, v1 in cc:
-                for e2, v2 in dd:
+            # the shorter factor outside, so the inner loop runs long
+            outer, inner = (cc, dd) if len(cc) <= len(dd) else (dd, cc)
+            for e1, v1 in outer:
+                for e2, v2 in inner:
                     e = e1 + e2
                     row[e] = row.get(e, 0) + v1 * v2
     return {k: p for k, row in acc.items() if (p := LaurentPoly(row))}

@@ -132,11 +132,17 @@ class AffPerm:
             return 0, self
         return a, AffPerm._unchecked(self.r, tuple(v - a for v in self.window))
 
-    def shift(self, a: int) -> "AffPerm":
-        """Left-multiply by rho^a (add a to every window entry)."""
+    def shift(self, a: int, b: int = 0) -> "AffPerm":
+        """The element rho^a * self * rho^b: rho^a adds a to every window
+        entry, rho^b moves the window b places along the periodic extension."""
+        r, win = self.r, self.window
+        if b:
+            return AffPerm._unchecked(
+                r, tuple(win[(i + b) % r] + (i + b) // r * r + a for i in range(r))
+            )
         if a == 0:
             return self
-        return AffPerm._unchecked(self.r, tuple(v + a for v in self.window))
+        return AffPerm._unchecked(r, tuple(v + a for v in win))
 
     def reduced_word(self) -> tuple[int, tuple[int, ...]]:
         """A reduced factorization rho^a * s_{i1} ... s_{ik}; returns (a, word).

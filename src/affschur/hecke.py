@@ -180,17 +180,29 @@ def h_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
 _TS_INV = (QINV, QINV - 1)  # T_s^{-1} = q^{-1} T_s + (q^{-1} - 1)
 
 
-@functools.lru_cache(maxsize=None)
+_BAR: dict[AffPerm, HeckeElt] = {}
+
+
 def _bar_t(w: AffPerm) -> HeckeElt:
-    """The element (T_{w^{-1}})^{-1} in the T-basis.
+    """The element (T_{w^{-1}})^{-1} in the T-basis, memoized per w.
 
     For s the lowest-index right descent of w, T_{w^{-1}}^{-1} equals
     T_{(ws)^{-1}}^{-1} T_s^{-1}; with no right descent w = rho^a is its own value.
+    The chain of such steps is walked down to a memoized element, then back
+    up, in a loop: its length is l(w), too deep for recursion.
     """
-    if not w.right_descents:
-        return HeckeElt(w.r, "T", {w: ONE})
-    s = affperm.generator(w.r, min(w.right_descents))
-    return HeckeElt(w.r, "T", _mul_gen_right(_bar_t(w * s).terms, s, *_TS_INV))
+    val = _BAR.get(w)
+    chain = []
+    while val is None and w.right_descents:
+        s = affperm.generator(w.r, min(w.right_descents))
+        chain.append((w, s))
+        w = w * s
+        val = _BAR.get(w)
+    if val is None:
+        val = _BAR[w] = HeckeElt(w.r, "T", {w: ONE})
+    for v, s in reversed(chain):
+        val = _BAR[v] = HeckeElt(v.r, "T", _mul_gen_right(val.terms, s, *_TS_INV))
+    return val
 
 
 def h_bar(a: HeckeElt) -> HeckeElt:
@@ -399,9 +411,7 @@ def h_expansion(x: AffPerm, y: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
     core = _h_expansion_core(u, v)
     if a == 0 and b == 0:
         return core
-    ra = affperm.rho(x.r, a)
-    rb = affperm.rho(x.r, b)
-    return {ra * z * rb: h for z, h in core.items()}
+    return {z.shift(a, b): h for z, h in core.items()}
 
 
 def h_struct(x: AffPerm, y: AffPerm, z: AffPerm) -> LaurentPoly:

@@ -245,12 +245,18 @@ class PeriodicMatrix:
         return _shared_composition(self.n, tuple(sums))
 
     def transpose(self) -> "PeriodicMatrix":
-        ent = []
-        for i, j, a in self.entries:
-            jbar = (j - 1) % self.n + 1
-            shift = j - jbar
-            ent.append((jbar, i - shift, a))
-        return PeriodicMatrix(self.n, tuple(ent))
+        """The transpose, built once per instance; transposing it gives back self."""
+        t = self.__dict__.get("_transpose")
+        if t is None:
+            ent = []
+            for i, j, a in self.entries:
+                jbar = (j - 1) % self.n + 1
+                shift = j - jbar
+                ent.append((jbar, i - shift, a))
+            t = PeriodicMatrix(self.n, tuple(ent))
+            self.__dict__["_transpose"] = t
+            t.__dict__["_transpose"] = self
+        return t
 
     @property
     def sort_key(self) -> tuple:

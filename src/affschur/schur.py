@@ -50,6 +50,7 @@ __all__ = [
     "basis_convert",
     "g_struct",
     "g_expansion",
+    "max_rep_terms",
     "theta_mul",
     "theta_mul_lemma42",
     "theta_mul_lemma61",
@@ -270,24 +271,30 @@ def basis_convert(a: SchurElt, target: str) -> SchurElt:
 # Structure constants in the theta basis
 
 
-@functools.lru_cache(maxsize=None)
-def g_expansion(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
-    """theta_A theta_B = sum g_{A,B,C} theta_C, via exact division by h_mu.
+def max_rep_terms(A: PeriodicMatrix, B: PeriodicMatrix) -> list:
+    """The terms (C, z, h_{x,y,z}) of C_x C_y for x = w_A^+ and y = w_B^+,
+    sorted by C; empty unless co(A) = ro(B).
 
     Every Hecke term C_x C_y with x, y maximal double-coset representatives is
     supported on maximal representatives again, so each z in the expansion
-    pins down a unique matrix C.
+    is w_C^+ for a unique matrix C.
     """
     if A.co != B.ro:
-        return ()
+        return []
     lam, nu = A.ro, B.co
-    hmu = poincare_h(A.co)
     out = []
     for z, h in h_expansion(plus_rep(A), plus_rep(B)).items():
         if not is_max_double_rep(z, lam, nu):
             raise NotInModule(f"product term {z} is not maximal in its double coset")
-        out.append((matrix_of(lam, z, nu), h.exact_div(hmu)))
-    return tuple(sorted(out, key=lambda p: p[0].sort_key))
+        out.append((matrix_of(lam, z, nu), z, h))
+    return sorted(out, key=lambda p: p[0].sort_key)
+
+
+@functools.lru_cache(maxsize=None)
+def g_expansion(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
+    """theta_A theta_B = sum g_{A,B,C} theta_C, via exact division by h_mu."""
+    hmu = poincare_h(A.co)
+    return tuple((C, h.exact_div(hmu)) for C, _, h in max_rep_terms(A, B))
 
 
 def g_struct(A: PeriodicMatrix, B: PeriodicMatrix, C: PeriodicMatrix) -> LaurentPoly:

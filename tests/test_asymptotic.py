@@ -1,11 +1,15 @@
 """Tests for the a-function, gamma, the asymptotic rings, cells, and Q-suite."""
 
 import collections
+import functools
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affschur import asymptotic
-from affschur.affperm import ball, from_word, generator, identity, rho
+from affschur.affperm import ball, from_word, generator, identity, rho, rho_conjugate
 from affschur.errors import UncertifiedAValue, UncertifiedBoundary
 from affschur.asymptotic import (
     a_bounded,
@@ -63,6 +67,44 @@ def test_a_examples():
     for k in (-2, 1, 3):
         av = a_bounded(rho(2, k), 4)
         assert av.value == 0 and av.certified
+
+
+@functools.cache
+def _a_by_pair_scan(z, radius):
+    """The per-z scan the shared one replaced: every pair of the ball, x before
+    y, against the r rho-conjugates of z, stopping at the ceiling."""
+    _, zf = z.omega_split()
+    r = z.r
+    cap = min(nu(r), delta_cap(zf))
+    conjugates = sorted({rho_conjugate(zf, b) for b in range(r)}, key=lambda w: w.sort_key)
+    best, witness = 0, (identity(r), zf)
+    for x, y in itertools.product(ball(r, radius), repeat=2):
+        if best == cap:
+            break
+        if x.length + y.length < zf.length:
+            continue
+        exp = h_expansion(x, y)
+        for zc in conjugates:
+            h = exp.get(zc)
+            if h is not None and h.degree() > best:
+                best, witness = int(h.degree()), (x, y)
+    return asymptotic.AValue(best, best == cap, witness, cap, radius)
+
+
+A_QUERIES = (
+    [(z, L) for L in range(1, 7) for z in ball(2, 6)]
+    + [(z, L) for L in (4, 5) for z in ball(3, 4)]
+    + [(z, 3) for z in ball(4, 3)]
+)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.permutations(A_QUERIES))
+def test_shared_scan_matches_pair_scan(queries):
+    for table in (asymptotic._A_CACHE, asymptotic._SCANS, asymptotic._CERTIFIED):
+        table.clear()
+    for z, L in queries:
+        assert a_bounded(z, L) == _a_by_pair_scan(z, L), (z, L)
 
 
 def test_a_monotone_and_capped():
@@ -329,6 +371,7 @@ def test_q_suite_small_window(window, cap):
         out["results"][f"Q{i}"] == "pass" for i in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15)
     ), out["results"]
     size, checked, (q15_checked, enumerated, held) = Q_SUITE_COUNTS[window, cap]
+    assert _q15_tuples_by_walk(*window) == enumerated
     expected = {"window_size": size, "uncertified": 0}
     expected.update({q: {"checked": c, "skipped": 0} for q, c in checked.items()})
     expected["Q15"] = {
@@ -338,6 +381,41 @@ def test_q_suite_small_window(window, cap):
         "without_hypothesis": {"held": held, "failed": 0},
     }
     assert out["details"] == expected
+
+
+def _q15_tuples_by_walk(n, r, length_bound, omega_window):
+    """Q15's on-hypothesis tuple count, by walking every (A, A', B, C)."""
+    w = asymptotic._Window(n, r, length_bound, omega_window)
+    sub = [A for A in w.certified if plus_rep(A).length <= asymptotic._Q15_SUB_LENGTH]
+    a = {A: w.aval[A].value for A in sub}
+    return sum(
+        1
+        for C in sub
+        for Ap in sub
+        if Ap.ro == C.co
+        for A in sub
+        if A.co == C.ro
+        for B in sub
+        if (B.ro, B.co) == (A.ro, Ap.co) and a[B] == a[C]
+    )
+
+
+@pytest.mark.parametrize("window", [(1, 2, 3, (-1, 1)), (2, 2, 2, (-1, 1))])
+def test_gamma_mat_expansion_matches_gamma_per_term(window):
+    mats = asymptotic._Window(*window).mats
+    for A in mats:
+        for B in mats:
+            try:
+                expected = {}
+                for C, _ in g_expansion(A, B):
+                    g = gamma(plus_rep(A), plus_rep(B), plus_rep(C), window[2])
+                    if g:
+                        expected[C] = g
+            except UncertifiedAValue:
+                with pytest.raises(UncertifiedAValue):
+                    gamma_mat_expansion(A, B, window[2])
+                continue
+            assert list(gamma_mat_expansion(A, B, window[2]).items()) == list(expected.items())
 
 
 def test_window_computes_gamma_once_per_pair(monkeypatch):

@@ -5,6 +5,7 @@ whole balls (plus rho twists) is the primary oracle, with the degree bound
 and positivity/symmetry of the structure constants as further cross-checks.
 """
 
+import inspect
 import random
 import subprocess
 import sys
@@ -126,6 +127,19 @@ def test_bar_t_matches_reduced_word_oracle(r, L):
         for a in (-1, 0, 1):
             for x in (w.shift(a), w * rho(r, a)):
                 assert hecke._bar_t(x) == _bar_t_by_word(x), x
+
+
+def test_bar_t_walks_long_chains_without_recursion():
+    # 200 uncached steps down to rho^0 would need 200 nested calls
+    w = from_word(2, 0, [0, 1] * 100)
+    hecke._BAR.clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        bar = hecke._bar_t(w)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert bar == _bar_t_by_word(w)
 
 
 @st.composite

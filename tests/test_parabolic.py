@@ -215,6 +215,18 @@ def test_transpose_is_inverse_triple():
         assert At.transpose() == A
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([(1, 2, 3), (2, 2, 3), (2, 3, 2), (3, 3, 2)]), st.data())
+def test_transpose_cached_involution(window, data):
+    n, r, bound = window
+    A = data.draw(st.sampled_from(enumerate_theta(n, r, bound, (-1, 1))))
+    fresh = PeriodicMatrix(A.n, A.entries)  # no transpose cached yet
+    At = fresh.transpose()
+    assert (At.ro, At.co) == (fresh.co, fresh.ro)
+    assert PeriodicMatrix(At.n, At.entries).transpose() == fresh
+    assert fresh.transpose() is At and At.transpose() is fresh
+
+
 def test_d_A_examples():
     for lam in compositions(2, 3):
         diag = PeriodicMatrix.diagonal(lam)

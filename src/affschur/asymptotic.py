@@ -965,12 +965,11 @@ def q_suite(
     by_ro: dict[Composition, list[PeriodicMatrix]] = {}
     by_co: dict[Composition, list[PeriodicMatrix]] = {}
     by_color: dict[tuple, list[tuple[PeriodicMatrix, int]]] = {}
-    a_count: dict[tuple, collections.Counter] = {}
     for B in sub:
         by_ro.setdefault(B.ro, []).append(B)
         by_co.setdefault(B.co, []).append(B)
         by_color.setdefault((B.ro, B.co), []).append((B, aval[B].value))
-        a_count.setdefault((B.ro, B.co), collections.Counter())[aval[B].value] += 1
+    a_count = {color: collections.Counter(a for _, a in Bs) for color, Bs in by_color.items()}
 
     def tuples(on_hypothesis: bool):
         """(A, A', B, C) in sub order, with co(C) = ro(A'), co(A) = ro(C),

@@ -130,11 +130,11 @@ def test_bar_t_matches_reduced_word_oracle(r, L):
 
 
 def test_bar_t_walks_long_chains_without_recursion():
-    # 200 uncached steps down to rho^0 would need 200 nested calls
-    w = from_word(2, 0, [0, 1] * 100)
+    # 120 uncached steps down to rho^0 would need 120 nested calls
+    w = from_word(2, 0, [0, 1] * 60)
     hecke._BAR.clear()
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
         bar = hecke._bar_t(w)
     finally:

@@ -13,6 +13,8 @@ reports "skipped" on uncertified data; it never silently trusts a scan.
 from __future__ import annotations
 
 import collections
+import contextlib
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -60,8 +62,6 @@ __all__ = [
     "lusztig_phi_hecke",
     "lusztig_phi_schur",
     "hecke_sim_L",
-    "schur_sim_L",
-    "schur_sim_R",
     "cell_preorder",
     "lowest_cell",
     "based_ring_checks",
@@ -514,16 +514,6 @@ def hecke_sim_L(x: AffPerm, y: AffPerm, length_bound: int = 4) -> bool:
     return bool(gamma_expansion(x, y.inverse, length_bound))
 
 
-def schur_sim_L(A: PeriodicMatrix, B: PeriodicMatrix, length_bound: int = 4) -> bool:
-    """A ~L B, by the exact criterion t_A t_{B^t} != 0."""
-    return bool(gamma_mat_expansion(A, B.transpose(), length_bound))
-
-
-def schur_sim_R(A: PeriodicMatrix, B: PeriodicMatrix, length_bound: int = 4) -> bool:
-    """A ~R B, i.e. A^t ~L B^t."""
-    return bool(gamma_mat_expansion(A.transpose(), B, length_bound))
-
-
 def cell_preorder(elements, flavor: str = "L") -> CellReport:
     """Window-bounded cell preorder over Hecke elements or matrices.
 
@@ -653,41 +643,109 @@ class _Window:
     """The matrix window of one based-ring or Q-suite run.
 
     It holds the sorted, transpose-closed theta window, its certified
-    a-values, an index by (ro, co), and a memo under which each pair (A, B)
-    reaches gamma_mat_expansion at most once; the memo lives only as long as
-    the object.
+    a-values, an index by (ro, co), and a memo under which each decidable
+    pair (A, B) reaches gamma_mat_expansion at most once; the memo lives only
+    as long as the object.  What the Q-properties share is built on first use.
     """
 
-    def __init__(self, n, r, length_bound, omega_window) -> None:
+    def __init__(self, n, r, length_bound, omega_window, q15_cap: int = 600) -> None:
         win = enumerate_theta(n, r, length_bound, omega_window)
         closed = set(win) | {A.transpose() for A in win}
         self.mats = tuple(sorted(closed, key=lambda A: A.sort_key))
         self.length_bound = length_bound
+        self.q15_cap = q15_cap
         self.aval = {A: certified_a(plus_rep(A), length_bound) for A in self.mats}
         self.certified = [A for A in self.mats if self.aval[A].certified]
         self.by_color: dict[tuple, list[PeriodicMatrix]] = {}
         for A in self.mats:
             self.by_color.setdefault((A.ro, A.co), []).append(A)
         self._gamma: dict[tuple, dict[PeriodicMatrix, int]] = {}
+        self._hits: dict[PeriodicMatrix, list[tuple[PeriodicMatrix, int]]] = {}
 
     def gamma(self, A: PeriodicMatrix, B: PeriodicMatrix) -> dict[PeriodicMatrix, int]:
-        """All nonzero gamma_{A,B,C}, as gamma_mat_expansion(A, B)."""
+        """All nonzero gamma_{A,B,C}, as gamma_mat_expansion(A, B): it raises
+        UncertifiedAValue for a product with a term of uncertified a-value."""
         gm = self._gamma.get((A, B))
         if gm is None:
             gm = self._gamma[A, B] = gamma_mat_expansion(A, B, self.length_bound)
         return gm
 
+    def a(self, A: PeriodicMatrix) -> int:
+        """The certified a(A); UncertifiedAValue if the window could not certify it."""
+        av = self.aval[A]
+        if not av.certified:
+            raise UncertifiedAValue(f"a({A.entries}) not certified at radius {av.scan_radius}")
+        return av.value
+
     def mul(self, a: JElt, b: JElt) -> JElt:
         return _j_product(a, b, self.gamma)
 
     def sim_L(self, A: PeriodicMatrix, B: PeriodicMatrix) -> bool:
+        """A ~L B, by the exact criterion t_A t_{B^t} != 0."""
         return bool(self.gamma(A, B.transpose()))
 
     def sim_R(self, A: PeriodicMatrix, B: PeriodicMatrix) -> bool:
+        """A ~R B, i.e. A^t ~L B^t."""
         return bool(self.gamma(A.transpose(), B))
 
     def is_dinv(self, A: PeriodicMatrix) -> bool:
         return A.ro == A.co and is_distinguished(plus_rep(A), self.length_bound)
+
+    def hits(self, A: PeriodicMatrix) -> list[tuple[PeriodicMatrix, int]]:
+        """The distinguished D with gamma_{A^t,A,D} != 0, with those gammas."""
+        hits = self._hits.get(A)
+        if hits is None:
+            gm = self.gamma(A.transpose(), A)
+            hits = self._hits[A] = [(D, g) for D, g in gm.items() if self.is_dinv(D)]
+        return hits
+
+    def dinv(self, A: PeriodicMatrix) -> tuple[PeriodicMatrix, int]:
+        """A's unique hit (D, gamma_{A^t,A,D}); WindowExceeded if there is none or several."""
+        hits = self.hits(A)
+        if len(hits) != 1:
+            raise WindowExceeded(f"A={A.entries} has {len(hits)} distinguished involutions")
+        return hits[0]
+
+    @functools.cached_property
+    def pairs(self) -> list[tuple[PeriodicMatrix, PeriodicMatrix]]:
+        """The composable pairs of certified matrices."""
+        return [(A, B) for A in self.certified for B in self.certified if A.co == B.ro]
+
+    @functools.cached_property
+    def preorder(self) -> dict[str, list[tuple[PeriodicMatrix, PeriodicMatrix]]]:
+        """The L, R and LR preorders, from the sound one-step edges of in-window
+        products; the window is transpose-closed, so R-edges are the
+        transposed L-edges."""
+        win = self.mats
+        index = {A: i for i, A in enumerate(win)}
+        edges_L = set(cell_preorder(win, "L").edges)
+        edges_R = {(index[win[a].transpose()], index[win[b].transpose()]) for a, b in edges_L}
+        edges = {"L": edges_L, "R": edges_R, "LR": edges_L | edges_R}
+        return {
+            flavor: [(win[a], win[b]) for a, b in _transitive_closure(len(win), e)]
+            for flavor, e in edges.items()
+        }
+
+    @functools.cached_property
+    def equal_a(self) -> dict[str, list[tuple[PeriodicMatrix, PeriodicMatrix]]]:
+        """The pairs A != B of each preorder with certified a(A) = a(B)."""
+        a = {A: av.value for A, av in self.aval.items() if av.certified}
+        return {
+            flavor: [(A, B) for A, B in rel if A != B and A in a and a.get(B) == a[A]]
+            for flavor, rel in self.preorder.items()
+        }
+
+    @functools.cached_property
+    def q15_sub(self) -> tuple[list, dict, dict, dict]:
+        """Q15's certified matrices whose sigma has length <= _Q15_SUB_LENGTH,
+        and their indexes by ro, by co and by (ro, co), the last with a-values."""
+        sub = [A for A in self.certified if plus_rep(A).length <= _Q15_SUB_LENGTH]
+        by_ro, by_co, by_color = (collections.defaultdict(list) for _ in range(3))
+        for B in sub:
+            by_ro[B.ro].append(B)
+            by_co[B.co].append(B)
+            by_color[B.ro, B.co].append((B, self.aval[B].value))
+        return sub, by_ro, by_co, by_color
 
 
 def based_ring_checks(
@@ -742,6 +800,167 @@ def based_ring_checks(
     return report
 
 
+class _Tally(contextlib.AbstractContextManager):
+    """One Q-property's outcome: statements checked, cases skipped, and the
+    counterexamples found.
+
+    A case, ``with tally:``, that the window cannot decide counts as one
+    skip: one that reads an uncertified a-value or a product with a term of
+    uncertified a-value (UncertifiedAValue), or that needs a witness outside
+    the window (WindowExceeded).  A case reads all it needs before it checks
+    a statement, so a skipped case has checked none.
+    """
+
+    def __init__(self) -> None:
+        self.details: dict = {"checked": 0, "skipped": 0}
+        self.counterexamples: list[dict] = []
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        undecided = isinstance(exc, (UncertifiedAValue, WindowExceeded))
+        self.details["skipped"] += undecided
+        return undecided
+
+    def expect(self, holds: bool, witness: dict) -> None:
+        """Count one statement, and keep its witness as a counterexample if it fails."""
+        self.details["checked"] += 1
+        if not holds:
+            self.counterexamples.append(
+                {k: v.to_json() if isinstance(v, PeriodicMatrix) else v for k, v in witness.items()}
+            )
+
+
+def _q1(w: _Window, t: _Tally) -> None:
+    """Q1: a(A) <= Delta(sigma(A))."""
+    for A in w.mats:
+        with t:
+            a = w.a(A)
+            t.expect(a <= delta_cap(plus_rep(A)), {"A": A, "a": a})
+
+
+def _q2(w: _Window, t: _Tally) -> None:
+    """Q2: gamma_{A,B,D} != 0 with D distinguished forces B = A^t."""
+    for A, B in w.pairs:
+        with t:
+            for D in w.gamma(A, B):
+                if w.is_dinv(D):
+                    t.expect(B == A.transpose(), {"A": A, "B": B, "D": D})
+
+
+def _q3(w: _Window, t: _Tally) -> None:
+    """Q3: exactly one distinguished D has gamma_{A^t,A,D} != 0."""
+    for A in w.certified:
+        with t:
+            count = len(w.hits(A))
+            t.expect(count == 1, {"A": A, "count": count})
+
+
+def _q4(w: _Window, t: _Tally) -> None:
+    """Q4: A <=_LR B implies a(A) >= a(B)."""
+    for A, B in w.preorder["LR"]:
+        with t:
+            t.expect(w.a(A) >= w.a(B), {"A": A, "B": B})
+
+
+def _q5(w: _Window, t: _Tally) -> None:
+    """Q5: gamma_{A^t,A,D} = 1 for the distinguished D of Q3."""
+    for A in w.certified:
+        with t:
+            D, g = w.dinv(A)
+            t.expect(g == 1, {"A": A, "D": D, "gamma": g})
+
+
+def _q6(w: _Window, t: _Tally) -> None:
+    """Q6: distinguished matrices are symmetric."""
+    for D in w.certified:
+        if w.is_dinv(D):
+            t.expect(D.transpose() == D, {"D": D})
+
+
+def _q7(w: _Window, t: _Tally) -> None:
+    """Q7: gamma_{A,B,C} = gamma_{B,C^t,A^t} = gamma_{C^t,A,B^t}, over every
+    g-support triple of the composable certified pairs."""
+    for A, B in w.pairs:
+        for C, _g in g_expansion(A, B):
+            with t:
+                g = [
+                    w.gamma(A, B).get(C, 0),
+                    w.gamma(B, C.transpose()).get(A.transpose(), 0),
+                    w.gamma(C.transpose(), A).get(B.transpose(), 0),
+                ]
+                t.expect(g[0] == g[1] == g[2], {"A": A, "B": B, "C": C, "g": g})
+
+
+def _q8(w: _Window, t: _Tally) -> None:
+    """Q8: gamma_{A,B,C} != 0 forces A ~L B^t, B ~L C and A ~R C."""
+    for A, B in w.pairs:
+        with t:
+            for C in w.gamma(A, B):
+                with t:
+                    holds = w.sim_L(A, B.transpose()) and w.sim_L(B, C) and w.sim_R(A, C)
+                    t.expect(holds, {"A": A, "B": B, "C": C})
+
+
+def _q9_q10(w: _Window, t: _Tally, flavor: str) -> None:
+    """Q9 (flavor L) and Q10 (flavor R): A <=_flavor B with a(A) = a(B)
+    forces A ~flavor B."""
+    sim = w.sim_L if flavor == "L" else w.sim_R
+    for A, B in w.equal_a[flavor]:
+        with t:
+            t.expect(sim(A, B), {"A": A, "B": B})
+
+
+def _q11(w: _Window, t: _Tally) -> None:
+    """Q11: A <=_LR B with a(A) = a(B) forces A ~LR B, witnessed by
+    t_A t_C t_B != 0 with (ro, co)(C) = (co(A), ro(B)).  A's involutions and
+    A^t are the likeliest C, so they go first; with no witness inside the
+    window the pair is skipped."""
+    for A, B in w.equal_a["LR"]:
+        with t:
+            color = (A.co, B.ro)
+            candidates = [D for D, _g in w.hits(A)] + [A.transpose()] + w.by_color.get(color, [])
+            middle = (C for C in candidates if (C.ro, C.co) == color)
+            if not any(any(w.gamma(E, B) for E in w.gamma(A, C)) for C in middle):
+                raise WindowExceeded(f"no witness for A={A.entries} ~LR B={B.entries}")
+            t.expect(True, {"A": A, "B": B})
+
+
+def _q13(w: _Window, t: _Tally) -> None:
+    """Q13: each left cell holds exactly one distinguished D, and
+    gamma_{A^t,A,D} != 0 for every A in it.  The cells are the exact ~L
+    classes of the certified matrices; a cell whose involution lies outside
+    the window is skipped."""
+    with t:
+        classes: list[list[PeriodicMatrix]] = []
+        for A in w.certified:
+            for cls in classes:
+                if A.co == cls[0].co and w.sim_L(A, cls[0]):
+                    cls.append(A)
+                    break
+            else:
+                classes.append([A])
+        for cls in classes:
+            with t:
+                ds = [A for A in cls if w.is_dinv(A)]
+                if not ds:
+                    raise WindowExceeded(f"no involution for the cell of {cls[0].entries}")
+                missing = [A for A in cls if w.gamma(A.transpose(), A).get(ds[0], 0) == 0]
+                t.expect(len(ds) == 1 and not missing, {
+                    "cell": [A.to_json() for A in cls],
+                    "distinguished": [D.to_json() for D in ds],
+                    "missing": [A.to_json() for A in missing],
+                })
+
+
+def _q14(w: _Window, t: _Tally) -> None:
+    """Q14: A ~LR A^t, witnessed through the distinguished involution D of A:
+    t_A t_D t_{A^t} != 0."""
+    for A in w.certified:
+        with t:
+            D, _g = w.dinv(A)
+            product = w.mul(w.mul(j_elt(A), j_elt(D)), j_elt(A.transpose()))
+            t.expect(not product.is_zero(), {"A": A})
+
+
 # Q15 runs on the matrices whose sigma has at most this length.
 _Q15_SUB_LENGTH = 2
 
@@ -766,6 +985,48 @@ def _q15_identity_holds(
     return lhs == rhs
 
 
+def _q15_tuples(w: _Window, on_hypothesis: bool):
+    """(A, A', B, C) in sub order, with co(C) = ro(A'), co(A) = ro(C),
+    (ro, co)(B) = (ro(A), co(A')), and a(B) = a(C) iff on_hypothesis."""
+    sub, by_ro, by_co, by_color = w.q15_sub
+    for C in sub:
+        a_C = w.aval[C].value
+        for Ap in by_ro.get(C.co, ()):
+            for A in by_co.get(C.ro, ()):
+                for B, a_B in by_color.get((A.ro, Ap.co), ()):
+                    if (a_B == a_C) == on_hypothesis:
+                        yield A, Ap, B, C
+
+
+def _q15(w: _Window, t: _Tally) -> None:
+    """Q15: the two-indeterminate commutation identity, on the first q15_cap
+    on-hypothesis tuples.  Off-hypothesis tuples (a(B) != a(C)) are tried
+    too, for information only."""
+    for A, Ap, B, C in itertools.islice(_q15_tuples(w, True), w.q15_cap):
+        t.expect(_q15_identity_holds(A, Ap, B, C), {"A": A, "A'": Ap, "B": B, "C": C})
+    sub, by_ro, by_co, by_color = w.q15_sub
+    a_count = {color: collections.Counter(a for _, a in Bs) for color, Bs in by_color.items()}
+    t.details["tuples_enumerated"] = sum(
+        a_count.get((A.ro, Ap.co), {}).get(w.aval[C].value, 0)
+        for C in sub
+        for Ap in by_ro.get(C.co, ())
+        for A in by_co.get(C.ro, ())
+    )
+    off_cap = max(w.q15_cap // 10, 20)
+    off = [_q15_identity_holds(*q) for q in itertools.islice(_q15_tuples(w, False), off_cap)]
+    t.details["without_hypothesis"] = {"held": off.count(True), "failed": off.count(False)}
+
+
+# The Q-properties: each checks the window into a fresh tally, which then
+# holds the property's details entry and counterexamples.  Q12 does not
+# exist in the numbering.
+_PROPERTIES = {
+    "Q1": _q1, "Q2": _q2, "Q3": _q3, "Q4": _q4, "Q5": _q5, "Q6": _q6, "Q7": _q7, "Q8": _q8,
+    "Q9": functools.partial(_q9_q10, flavor="L"), "Q10": functools.partial(_q9_q10, flavor="R"),
+    "Q11": _q11, "Q13": _q13, "Q14": _q14, "Q15": _q15,
+}
+
+
 def q_suite(
     n: int,
     r: int,
@@ -779,235 +1040,22 @@ def q_suite(
     decide is reported as skipped, never as a pass.  Q12 does not exist in
     the numbering and is reported as such.
     """
-    w = _Window(n, r, length_bound, omega_window)
-    win, aval, certified = w.mats, w.aval, w.certified
-    results: dict[str, str] = {}
+    w = _Window(n, r, length_bound, omega_window, q15_cap)
     details: dict[str, object] = {
-        "window_size": len(win),
-        "uncertified": len(win) - len(certified),
+        "window_size": len(w.mats),
+        "uncertified": len(w.mats) - len(w.certified),
     }
+    results = {"Q12": "absent-in-paper"}
     counterexamples: dict[str, list] = {}
-
-    def fail(q: str, payload) -> None:
-        results[q] = "fail"
-        counterexamples.setdefault(q, []).append(payload)
-
-    def finish(q: str, checked: int, skipped: int = 0) -> None:
-        if results.get(q) != "fail":
-            results[q] = "pass" if checked else "skipped"
-        details[q] = {"checked": checked, "skipped": skipped}
-
-    # gamma expansions for all composable certified pairs (None: undecidable)
-    gam: dict[tuple, dict[PeriodicMatrix, int] | None] = {}
-    for A in certified:
-        for B in certified:
-            if A.co == B.ro:
-                try:
-                    gam[(A, B)] = w.gamma(A, B)
-                except (UncertifiedAValue, WindowExceeded):
-                    gam[(A, B)] = None
-
-    # Q1: a(A) <= Delta(sigma(A))
-    for A in certified:
-        if aval[A].value > delta_cap(plus_rep(A)):
-            fail("Q1", {"A": A.to_json(), "a": aval[A].value})
-    finish("Q1", len(certified), len(win) - len(certified))
-
-    # Q2: gamma_{A,B,D} != 0 with D distinguished forces B = A^t
-    checked = skipped = 0
-    for (A, B), gm in gam.items():
-        if gm is None:
-            skipped += 1
-            continue
-        for D in gm:
-            if w.is_dinv(D):
-                checked += 1
-                if B != A.transpose():
-                    fail("Q2", {"A": A.to_json(), "B": B.to_json(), "D": D.to_json()})
-    finish("Q2", checked, skipped)
-
-    # Q3 and Q5: unique distinguished D with gamma_{A^t,A,D} != 0, and it is 1
-    dinv_of: dict[PeriodicMatrix, PeriodicMatrix] = {}
-    for A in certified:
-        hits = [(D, g) for D, g in w.gamma(A.transpose(), A).items() if w.is_dinv(D)]
-        if len(hits) != 1:
-            fail("Q3", {"A": A.to_json(), "count": len(hits)})
-            continue
-        D, g = hits[0]
-        dinv_of[A] = D
-        if g != 1:
-            fail("Q5", {"A": A.to_json(), "D": D.to_json(), "gamma": g})
-    finish("Q3", len(certified))
-    finish("Q5", len(certified))
-
-    # Q6: distinguished matrices are symmetric
-    dd = [A for A in certified if w.is_dinv(A)]
-    for D in dd:
-        if D.transpose() != D:
-            fail("Q6", {"D": D.to_json()})
-    finish("Q6", len(dd))
-
-    # preorders from the sound one-step edges of in-window products; the
-    # window is transpose-closed, so R-edges are the transposed L-edges
-    index = {A: i for i, A in enumerate(win)}
-    edges_L = set(cell_preorder(win, "L").edges)
-    edges_R = {(index[win[a].transpose()], index[win[b].transpose()]) for a, b in edges_L}
-    rel_L = _transitive_closure(len(win), edges_L)
-    rel_R = _transitive_closure(len(win), edges_R)
-    rel_LR = _transitive_closure(len(win), edges_L | edges_R)
-
-    # Q4: A <=_LR B implies a(A) >= a(B)
-    checked = skipped = 0
-    for ia, ib in rel_LR:
-        A, B = win[ia], win[ib]
-        if not (aval[A].certified and aval[B].certified):
-            skipped += 1
-            continue
-        checked += 1
-        if aval[A].value < aval[B].value:
-            fail("Q4", {"A": A.to_json(), "B": B.to_json()})
-    finish("Q4", checked, skipped)
-
-    # Q7: cyclic symmetry of gamma, over every g-support triple of the window
-    checked = 0
-    for (A, B), gm in gam.items():
-        if gm is None:
-            continue
-        for C, _g in g_expansion(A, B):
-            g1 = gm.get(C, 0)
-            g2 = w.gamma(B, C.transpose()).get(A.transpose(), 0)
-            g3 = w.gamma(C.transpose(), A).get(B.transpose(), 0)
-            checked += 1
-            if not (g1 == g2 == g3):
-                fail(
-                    "Q7",
-                    {"A": A.to_json(), "B": B.to_json(), "C": C.to_json(), "g": [g1, g2, g3]},
-                )
-    finish("Q7", checked)
-
-    # Q8: gamma != 0 forces the three cell relations
-    checked = 0
-    for (A, B), gm in gam.items():
-        for C in gm or ():
-            checked += 1
-            if not (w.sim_L(A, B.transpose()) and w.sim_L(B, C) and w.sim_R(A, C)):
-                fail("Q8", {"A": A.to_json(), "B": B.to_json(), "C": C.to_json()})
-    finish("Q8", checked)
-
-    def equal_a(rel):
-        """The pairs A != B of a preorder with certified a(A) = a(B)."""
-        for ia, ib in rel:
-            A, B = win[ia], win[ib]
-            if ia != ib and aval[A].certified and aval[B].certified:
-                if aval[A].value == aval[B].value:
-                    yield A, B
-
-    # Q9/Q10: preorder plus equal a forces equivalence
-    for q, rel, sim in (("Q9", rel_L, w.sim_L), ("Q10", rel_R, w.sim_R)):
-        checked = 0
-        for A, B in equal_a(rel):
-            checked += 1
-            if not sim(A, B):
-                fail(q, {"A": A.to_json(), "B": B.to_json()})
-        finish(q, checked)
-
-    # Q11: ... and for ~LR a witness t_A t_C t_B != 0 with (ro, co)(C) =
-    # (co(A), ro(B)); A's involution and A^t are the likeliest, so go first
-    checked = skipped = 0
-    for A, B in equal_a(rel_LR):
-        checked += 1
-        candidates = [dinv_of.get(A), A.transpose()] + w.by_color.get((A.co, B.ro), [])
-        middle = (C for C in candidates if C is not None and (C.ro, C.co) == (A.co, B.ro))
-        if not any(any(w.gamma(E, B) for E in w.gamma(A, C)) for C in middle):
-            skipped += 1  # no witness inside the window; not decidable here
-    finish("Q11", checked - skipped, skipped)
-
-    # Q13: each left cell (exact ~L classes in the window) has a unique D
-    classes: list[list[PeriodicMatrix]] = []
-    for A in certified:
-        for cls in classes:
-            if A.co == cls[0].co and w.sim_L(A, cls[0]):
-                cls.append(A)
-                break
-        else:
-            classes.append([A])
-    checked = skipped = 0
-    for cls in classes:
-        ds = [A for A in cls if w.is_dinv(A)]
-        if len(ds) > 1:
-            fail("Q13", {"cell": [A.to_json() for A in cls], "count": len(ds)})
-        elif len(ds) == 0:
-            skipped += 1  # the cell's involution lies outside the window
-        else:
-            checked += 1
-            D = ds[0]
-            for A in cls:
-                if w.gamma(A.transpose(), A).get(D, 0) == 0:
-                    fail("Q13", {"A": A.to_json(), "D": D.to_json()})
-    finish("Q13", checked, skipped)
-
-    # Q14: A ~LR A^t, witnessed through the distinguished involution of A
-    checked = skipped = 0
-    for A in certified:
-        D = dinv_of.get(A)
-        if D is None:
-            skipped += 1
-            continue
-        checked += 1
-        if w.mul(w.mul(j_elt(A), j_elt(D)), j_elt(A.transpose())).is_zero():
-            fail("Q14", {"A": A.to_json()})
-    finish("Q14", checked, skipped)
-
-    # Q15: the two-indeterminate commutation identity, on a capped tuple set
-    # enumerated lazily; off-hypothesis tuples (a(B) != a(C)) are tried too,
-    # for information only
-    sub = [A for A in certified if plus_rep(A).length <= _Q15_SUB_LENGTH]
-    by_ro: dict[Composition, list[PeriodicMatrix]] = {}
-    by_co: dict[Composition, list[PeriodicMatrix]] = {}
-    by_color: dict[tuple, list[tuple[PeriodicMatrix, int]]] = {}
-    for B in sub:
-        by_ro.setdefault(B.ro, []).append(B)
-        by_co.setdefault(B.co, []).append(B)
-        by_color.setdefault((B.ro, B.co), []).append((B, aval[B].value))
-    a_count = {color: collections.Counter(a for _, a in Bs) for color, Bs in by_color.items()}
-
-    def tuples(on_hypothesis: bool):
-        """(A, A', B, C) in sub order, with co(C) = ro(A'), co(A) = ro(C),
-        (ro, co)(B) = (ro(A), co(A')), and a(B) = a(C) iff on_hypothesis."""
-        for C in sub:
-            a_C = aval[C].value
-            for Ap in by_ro.get(C.co, ()):
-                for A in by_co.get(C.ro, ()):
-                    for B, a_B in by_color.get((A.ro, Ap.co), ()):
-                        if (a_B == a_C) == on_hypothesis:
-                            yield A, Ap, B, C
-
-    checked = 0
-    for A, Ap, B, C in itertools.islice(tuples(True), q15_cap):
-        checked += 1
-        if not _q15_identity_holds(A, Ap, B, C):
-            fail(
-                "Q15",
-                {"A": A.to_json(), "A'": Ap.to_json(), "B": B.to_json(), "C": C.to_json()},
-            )
-    finish("Q15", checked)
-    off_cap = max(q15_cap // 10, 20)
-    off = [_q15_identity_holds(*t) for t in itertools.islice(tuples(False), off_cap)]
-    details["Q15"] = {
-        "checked": checked,
-        "skipped": 0,
-        "tuples_enumerated": sum(
-            a_count.get((A.ro, Ap.co), {}).get(aval[C].value, 0)
-            for C in sub
-            for Ap in by_ro.get(C.co, ())
-            for A in by_co.get(C.ro, ())
-        ),
-        "without_hypothesis": {"held": off.count(True), "failed": off.count(False)},
-    }
-
-    results["Q12"] = "absent-in-paper"
-    ordered = {f"Q{i}": results.get(f"Q{i}", "skipped") for i in range(1, 16)}
-    out = {
+    for q, prop in _PROPERTIES.items():
+        t = _Tally()
+        prop(w, t)
+        details[q] = t.details
+        if t.counterexamples:
+            counterexamples[q] = t.counterexamples
+        results[q] = "fail" if t.counterexamples else "pass" if t.details["checked"] else "skipped"
+    ordered = {f"Q{i}": results[f"Q{i}"] for i in range(1, 16)}
+    return {
         "n": n,
         "r": r,
         "length_bound": length_bound,
@@ -1015,7 +1063,6 @@ def q_suite(
         "results": ordered,
         "details": details,
         "counterexamples": counterexamples,
-        "failures": sorted(q for q, s in ordered.items() if s == "fail"),
+        "failures": sorted(counterexamples),
+        "ok": not counterexamples,
     }
-    out["ok"] = not out["failures"]
-    return out

@@ -6,7 +6,7 @@ on request).  Output is byte-stable for fixed inputs and configuration:
 canonical key ordering and canonical term ordering throughout.
 
 Exit codes: 0 success; 1 usage error; 2 domain error (invalid window or
-matrix); 3 verification failure (a counterexample was found, or a KL
+matrix); 3 verification failure (a payload with "ok": false, or a KL
 invariant failed); 4 refusal to use uncertified data.
 """
 
@@ -202,129 +202,104 @@ def emit(obj, fmt: str) -> None:
 # subcommand implementations
 
 
-def cmd_length(args, cfg) -> int:
+def cmd_length(args, cfg) -> dict:
     w = parse_perm(args.w, cfg["r"])
-    emit({"window": list(w.window), "l": w.length, "omega_degree": w.omega_degree,
-          "right_descents": sorted(w.right_descents), "left_descents": sorted(w.left_descents),
-          "provenance": "exact"},
-         cfg["format"])
-    return EXIT_OK
+    return {"window": list(w.window), "l": w.length, "omega_degree": w.omega_degree,
+            "right_descents": sorted(w.right_descents), "left_descents": sorted(w.left_descents),
+            "provenance": "exact"}
 
 
-def cmd_word(args, cfg) -> int:
+def cmd_word(args, cfg) -> dict:
     w = parse_perm(args.w, cfg["r"])
     omega, word = w.reduced_word()
-    emit({"omega": omega, "word": list(word), "l": w.length, "provenance": "exact"},
-         cfg["format"])
-    return EXIT_OK
+    return {"omega": omega, "word": list(word), "l": w.length, "provenance": "exact"}
 
 
-def cmd_bruhat(args, cfg) -> int:
+def cmd_bruhat(args, cfg) -> dict:
     y = parse_perm(args.y, cfg["r"])
     w = parse_perm(args.w, cfg["r"])
-    emit({"y": list(y.window), "w": list(w.window), "leq": affperm.bruhat_leq(y, w),
-          "provenance": "exact"}, cfg["format"])
-    return EXIT_OK
+    return {"y": list(y.window), "w": list(w.window), "leq": affperm.bruhat_leq(y, w),
+            "provenance": "exact"}
 
 
-def cmd_klpoly(args, cfg) -> int:
+def cmd_klpoly(args, cfg) -> dict:
     y = parse_perm(args.y, cfg["r"])
     w = parse_perm(args.w, cfg["r"])
-    emit({"P": hecke.kl_poly(y, w).to_json(), "note": "polynomial in q = t^2, t-exponents",
-          "provenance": "exact"}, cfg["format"])
-    return EXIT_OK
+    return {"P": hecke.kl_poly(y, w).to_json(), "note": "polynomial in q = t^2, t-exponents",
+            "provenance": "exact"}
 
 
-def cmd_cbasis(args, cfg) -> int:
+def cmd_cbasis(args, cfg) -> dict:
     w = parse_perm(args.w, cfg["r"])
-    elt = hecke.cprime_elt(w) if args.prime else hecke.c_elt(w)
-    emit(elt.to_json(), cfg["format"])
-    return EXIT_OK
+    return (hecke.cprime_elt(w) if args.prime else hecke.c_elt(w)).to_json()
 
 
-def cmd_hmul(args, cfg) -> int:
+def cmd_hmul(args, cfg) -> dict:
     a = parse_hecke(args.a, cfg["r"])
     b = parse_hecke(args.b, cfg["r"])
-    emit(hecke.h_mul(a, b).to_json(), cfg["format"])
-    return EXIT_OK
+    return hecke.h_mul(a, b).to_json()
 
 
-def cmd_hstruct(args, cfg) -> int:
+def cmd_hstruct(args, cfg) -> dict:
     x = parse_perm(args.x, cfg["r"])
     y = parse_perm(args.y, cfg["r"])
     z = parse_perm(args.z, cfg["r"])
-    emit({"h": hecke.h_struct(x, y, z).to_json(), "provenance": "exact"}, cfg["format"])
-    return EXIT_OK
+    return {"h": hecke.h_struct(x, y, z).to_json(), "provenance": "exact"}
 
 
-def cmd_cosets(args, cfg) -> int:
+def cmd_cosets(args, cfg) -> dict:
     lam = parse_comp(args.lam, cfg["n"])
     mu = parse_comp(args.mu, cfg["n"])
     A = parabolic.matrix_of(lam, parse_perm(args.w, lam.r), mu)
     coset = sorted(parabolic.double_coset(A), key=lambda x: x.sort_key)
-    emit(
-        {
-            "min": list(parabolic.min_rep(A).window),
-            "plus": list(parabolic.plus_rep(A).window),
-            "size": len(coset),
-            "elements": [list(x.window) for x in coset],
-            "provenance": "exact",
-        },
-        cfg["format"],
-    )
-    return EXIT_OK
+    return {
+        "min": list(parabolic.min_rep(A).window),
+        "plus": list(parabolic.plus_rep(A).window),
+        "size": len(coset),
+        "elements": [list(x.window) for x in coset],
+        "provenance": "exact",
+    }
 
 
-def cmd_matrix(args, cfg) -> int:
+def cmd_matrix(args, cfg) -> dict:
     lam = parse_comp(args.lam, cfg["n"])
     mu = parse_comp(args.mu, cfg["n"])
     A = parabolic.matrix_of(lam, parse_perm(args.w, lam.r), mu)
-    out = A.to_json()
-    out["d_A"] = parabolic.d_A_combinatorial(A)
-    out["provenance"] = "exact"
-    emit(out, cfg["format"])
-    return EXIT_OK
+    return {**A.to_json(), "d_A": parabolic.d_A_combinatorial(A), "provenance": "exact"}
 
 
-def cmd_triple(args, cfg) -> int:
+def cmd_triple(args, cfg) -> dict:
     A = parse_matrix(args.A)
-    emit(
-        {
-            "lam": A.ro.to_json(),
-            "w": list(parabolic.min_rep(A).window),
-            "mu": A.co.to_json(),
-            "plus": list(parabolic.plus_rep(A).window),
-            "d_A": parabolic.d_A_coxeter(A),
-            "provenance": "exact",
-        },
-        cfg["format"],
-    )
-    return EXIT_OK
+    return {
+        "lam": A.ro.to_json(),
+        "w": list(parabolic.min_rep(A).window),
+        "mu": A.co.to_json(),
+        "plus": list(parabolic.plus_rep(A).window),
+        "d_A": parabolic.d_A_coxeter(A),
+        "provenance": "exact",
+    }
 
 
-def cmd_theta(args, cfg) -> int:
+def cmd_theta(args, cfg) -> dict:
     A = parse_matrix(args.A)
     elt = schur.theta_in_phihat(A)
     if args.basis != "phihat":
         elt = schur.basis_convert(elt, args.basis)
-    emit(elt.to_json(), cfg["format"])
-    return EXIT_OK
+    return elt.to_json()
 
 
-def cmd_gstruct(args, cfg) -> int:
+def cmd_gstruct(args, cfg) -> dict:
     A, B, C = parse_matrix(args.A), parse_matrix(args.B), parse_matrix(args.C)
-    emit({"g": schur.g_struct(A, B, C).to_json(), "provenance": "exact"}, cfg["format"])
-    return EXIT_OK
+    return {"g": schur.g_struct(A, B, C).to_json(), "provenance": "exact"}
 
 
-def cmd_afn(args, cfg) -> int:
+def cmd_afn(args, cfg) -> dict:
     z = parse_perm(args.z, cfg["r"])
     av = (asymptotic.certified_a if args.adaptive else asymptotic.a_bounded)(z, cfg["L"])
-    emit(av.to_json(), cfg["format"])
-    return EXIT_OK
+    return av.to_json()
 
 
-def cmd_gamma(args, cfg) -> int:
+def cmd_gamma(args, cfg) -> dict:
     hecke_side = all((args.x, args.y, args.z))
     matrix_side = all((args.A, args.B, args.C))
     if hecke_side == matrix_side:
@@ -337,92 +312,69 @@ def cmd_gamma(args, cfg) -> int:
         y = parse_perm(args.y, cfg["r"])
         z = parse_perm(args.z, cfg["r"])
         g = asymptotic.gamma(x, y, z, cfg["L"])
-    emit({"gamma": g, "provenance": "window-bounded, certified"}, cfg["format"])
-    return EXIT_OK
+    return {"gamma": g, "provenance": "window-bounded, certified"}
 
 
-def cmd_dinv(args, cfg) -> int:
+def cmd_dinv(args, cfg) -> dict:
     _require(cfg, "r")
     if cfg["n"] is not None:
         dd = asymptotic.dinv_schur(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"])
-        emit({"matrices": [[list(e) for e in A.entries] for A in dd],
-              "count": len(dd), "provenance": "window-bounded, certified"}, cfg["format"])
+        found = {"matrices": [[list(e) for e in A.entries] for A in dd]}
     else:
         dd = asymptotic.distinguished_involutions(cfg["r"], cfg["L"])
-        emit({"windows": [list(d.window) for d in dd], "count": len(dd),
-              "provenance": "window-bounded, certified"}, cfg["format"])
-    return EXIT_OK
+        found = {"windows": [list(d.window) for d in dd]}
+    return {**found, "count": len(dd), "provenance": "window-bounded, certified"}
 
 
-def cmd_jmul(args, cfg) -> int:
+def cmd_jmul(args, cfg) -> dict:
     a = parse_jelt(args.a, cfg["r"])
     b = parse_jelt(args.b, cfg["r"])
-    emit(asymptotic.j_mul(a, b, cfg["L"]).to_json(), cfg["format"])
-    return EXIT_OK
+    return asymptotic.j_mul(a, b, cfg["L"]).to_json()
 
 
-def cmd_phi_map(args, cfg) -> int:
+def cmd_phi_map(args, cfg) -> dict:
     if bool(args.A) == bool(args.w):
         raise UsageError("phi-map needs exactly one of --w or --A")
     if args.A:
-        A = parse_matrix(args.A)
-        img = asymptotic.lusztig_phi_schur(A, cfg["L"])
-    else:
-        w = parse_perm(args.w, cfg["r"])
-        img = asymptotic.lusztig_phi_hecke(w, cfg["L"])
-    emit(img.to_json(), cfg["format"])
-    return EXIT_OK
+        return asymptotic.lusztig_phi_schur(parse_matrix(args.A), cfg["L"]).to_json()
+    return asymptotic.lusztig_phi_hecke(parse_perm(args.w, cfg["r"]), cfg["L"]).to_json()
 
 
-def cmd_cells(args, cfg) -> int:
+def cmd_cells(args, cfg) -> dict:
     _require(cfg, "r")
-    if not args.hecke:
-        _require(cfg, "n")
     if args.hecke:
         elems = list(affperm.ball(cfg["r"], cfg["L"]))
     else:
+        _require(cfg, "n")
         elems = list(parabolic.enumerate_theta(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"]))
-    report = asymptotic.cell_preorder(elems, args.flavor)
-    emit(report.to_json(), cfg["format"])
-    return EXIT_OK
+    return asymptotic.cell_preorder(elems, args.flavor).to_json()
 
 
-def cmd_lowest_cell(args, cfg) -> int:
+def cmd_lowest_cell(args, cfg) -> dict:
     _require(cfg, "n", "r")
-    report = asymptotic.lowest_cell(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"])
-    emit(report.to_json(), cfg["format"])
-    return EXIT_OK
+    return asymptotic.lowest_cell(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"]).to_json()
 
 
-def cmd_qsuite(args, cfg) -> int:
+def cmd_qsuite(args, cfg) -> dict:
     _require(cfg, "n", "r")
-    out = asymptotic.q_suite(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"])
-    emit(out, cfg["format"])
-    return EXIT_OK if out["ok"] else EXIT_VERIFY
+    return asymptotic.q_suite(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"])
 
 
-def cmd_verify(args, cfg) -> int:
-    results = []
-
+def cmd_verify(args, cfg) -> dict:
     def progress(res: dict) -> None:
         status = "PASS" if res["ok"] else "FAIL"
         print(f"[{status}] {res['id']} ({res['seconds']}s): {res['summary']}", file=sys.stderr)
 
-    for res in verify.run_all(progress=progress):
-        results.append(
-            {"id": res["id"], "ok": res["ok"], "summary": res["summary"], "seconds": res["seconds"]}
-        )
-    ok = all(r["ok"] for r in results)
-    emit({"ok": ok, "criteria": results}, cfg["format"])
-    return EXIT_OK if ok else EXIT_VERIFY
+    results = [{k: res[k] for k in ("id", "ok", "summary", "seconds")}
+               for res in verify.run_all(progress=progress)]
+    return {"ok": all(r["ok"] for r in results), "criteria": results}
 
 
-def cmd_cache_stats(args, cfg) -> int:
+def cmd_cache_stats(args, cfg) -> dict:
     path = args.path or cfg["cache"]
     if not path:
         raise UsageError("cache-stats needs --cache or a positional path")
-    emit(klcache.scan_stats(path), cfg["format"])
-    return EXIT_OK
+    return klcache.scan_stats(path)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         if configure:
             configure(sp)
         sp.set_defaults(fn=fn)
-        return sp
 
     add("length", cmd_length, "length, omega-degree, and descents of a window",
         lambda sp: sp.add_argument("--w", required=True))
@@ -532,13 +483,14 @@ def main(argv: "list[str] | None" = None) -> int:
             raise UsageError(f"unknown output format {cfg['format']!r}")
         if cfg["cache"]:
             cache = klcache.KLCache(cfg["cache"]).load()
-        code = args.fn(args, cfg)
+        out = args.fn(args, cfg)
+        emit(out, cfg["format"])
         if cache is not None:
             appended = cache.save_new()
             stats = cache.stats()
             stats["appended"] = appended
             print(json.dumps({"cache": stats}, sort_keys=True), file=sys.stderr)
-        return code
+        return EXIT_VERIFY if out.get("ok") is False else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from affschur import asymptotic
 from affschur.affperm import ball, from_word, generator, identity, rho, rho_conjugate
+from affschur.cli import main
 from affschur.errors import UncertifiedAValue, UncertifiedBoundary
 from affschur.asymptotic import (
     a_bounded,
@@ -37,7 +39,6 @@ from affschur.asymptotic import (
     lusztig_phi_schur_elt,
     nu,
     q_suite,
-    schur_sim_L,
 )
 from affschur.hecke import h_expansion, h_mul, c_elt, t_to_c
 from affschur.laurent import ONE
@@ -316,19 +317,19 @@ def test_lowest_cell_counts():
 
 
 def test_lemma55_equivalences_window22():
+    # the ~L and ~R predicates that Q8-Q10 and Q13 run
+    w = asymptotic._Window(2, 2, 2, (-1, 1))
     win = enumerate_theta(2, 2, 2, (-1, 1))
     for A in win:
         for B in win:
-            lhs = schur_sim_L(A, B, 4)
+            lhs = w.sim_L(A, B)
             rhs = A.co == B.co and hecke_sim_L(plus_rep(A), plus_rep(B), 4)
             assert lhs == rhs, (A, B)
             # the right-handed statement is the transpose of the left-handed one
-            from affschur.asymptotic import schur_sim_R
-
             rhs_r = A.ro == B.ro and hecke_sim_L(
                 plus_rep(A).inverse, plus_rep(B).inverse, 4
             )
-            assert schur_sim_R(A, B, 4) == rhs_r, (A, B)
+            assert w.sim_R(A, B) == rhs_r, (A, B)
 
 
 def test_based_ring_checks_window22():
@@ -381,6 +382,45 @@ def test_q_suite_small_window(window, cap):
         "without_hypothesis": {"held": held, "failed": 0},
     }
     assert out["details"] == expected
+
+
+def test_q_suite_skips_what_the_window_cannot_decide(capsys):
+    # 2 of the 4 matrices of this (2,3) window have uncertified a-values, so
+    # some a-values and products are undecidable: those are skips, not failures
+    out = q_suite(2, 3, 2, (0, 0))
+    assert out["details"]["uncertified"] == 2
+    assert out["ok"] and out["failures"] == [] and "fail" not in out["results"].values()
+    counts = {q: (d["checked"], d["skipped"]) for q, d in out["details"].items() if q[0] == "Q"}
+    assert counts == dict(
+        Q1=(2, 2), Q2=(2, 0), Q3=(2, 0), Q4=(4, 12), Q5=(2, 0), Q6=(2, 0), Q7=(2, 0), Q8=(2, 0),
+        Q9=(0, 0), Q10=(0, 0), Q11=(0, 2), Q13=(2, 0), Q14=(2, 0), Q15=(2, 0),
+    )
+    assert [q for q, s in out["results"].items() if s == "skipped"] == ["Q9", "Q10", "Q11"]
+    assert main(["qsuite", "--n", "2", "--r", "3", "--L", "2", "--omega-window=0:0"]) == 0
+    assert json.loads(capsys.readouterr().out) == out
+
+
+def test_q_suite_reports_counterexamples(monkeypatch, capsys):
+    # a fault in the gamma-coefficients: every gamma_{A,A,C} is one too large
+    exact = gamma_mat_expansion
+
+    def faulty(A, B, length_bound=4):
+        gm = exact(A, B, length_bound)
+        return {C: g + 1 for C, g in gm.items()} if A == B else gm
+
+    monkeypatch.setattr(asymptotic, "gamma_mat_expansion", faulty)
+    out = q_suite(1, 2, 3, (-1, 1))
+    failed = [q for q, s in out["results"].items() if s == "fail"]
+    assert len(failed) >= 2 and {"Q5", "Q7"} <= set(failed)
+    assert out["ok"] is False and out["failures"] == sorted(failed)
+    assert sorted(out["counterexamples"]) == out["failures"]
+    assert all(out["counterexamples"][q] for q in failed)
+    pinned = {"A": {"n": 1, "r": 2, "entries": [[1, 0, 1], [1, 2, 1]]},
+              "D": {"n": 1, "r": 2, "entries": [[1, 1, 2]]}, "gamma": 2}
+    assert pinned in out["counterexamples"]["Q5"]
+    code = main(["qsuite", "--n", "1", "--r", "2", "--L", "3", "--omega-window=-1:1"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out) == out
 
 
 def _q15_tuples_by_walk(n, r, length_bound, omega_window):

@@ -335,6 +335,21 @@ GOLDEN_CLI = [
     (("cbasis", "--r", "2", "--w", "0,1,0", "--prime"), "7b9dc94644815294"),
     (("cbasis", "--w=-3,4,5", "--prime"), "0d7e09ebfa61ccfe"),
     (("cbasis", "--r", "3", "--w", "0,1,2,0,1^-1", "--prime"), "abafef2564d0a020"),
+    (("length", "--r", "3", "--w", "5,0,1^1"), "037f764bc45721a1"),
+    (("word", "--r", "3", "--w", "0,1,2,0"), "7242db1bc2dc45ec"),
+    (("bruhat", "--r", "3", "--y", "0,1", "--w", "1,0,2"), "29444a1cbebc2b7b"),
+    (("klpoly", "--r", "3", "--y", "1,2,3", "--w", "0,1,2,0"), "1f9f46a3b61bf686"),
+    (("hmul", "--a", "0,3", "--b", "3,0"), "d8db3754eadc85d3"),
+    (("hstruct", "--x", "0,3", "--y", "0,3", "--z", "0,3"), "9af3c4fb5e42ef0a"),
+    (("afn", "--r", "3", "--z", "0,1,0", "--L", "2"), "cfd41da8ba75c7f0"),
+    (("afn", "--r", "3", "--z", "0,1,0", "--L", "2", "--adaptive"), "cbbbdf6dddf8c7c7"),
+    (("gamma", "--x", "0,3", "--y", "0,3", "--z", "0,3"), "0a91f44ca27c9eb4"),
+    (("jmul", "--a", "0,3", "--b", "0,3"), "a284182633f968db"),
+    (("phi-map", "--w", "0,3", "--L", "4"), "9ddcfb924a2aef51"),
+    (("qsuite", "--n", "1", "--r", "2", "--L", "3", "--omega-window=-1:1", "--format", "csv"),
+     "6164ccc3db6f392a"),
+    (("lowest-cell", "--n", "2", "--r", "2", "--L", "3", "--omega-window=-1:1",
+      "--format", "pretty"), "876fdc3ac7a34734"),
 ]
 
 

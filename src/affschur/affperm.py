@@ -250,13 +250,41 @@ def bruhat_leq(y: AffPerm, w: AffPerm) -> bool:
     return _leq_coxeter(uy, uw)
 
 
+# _LOWER holds every ideal built, those along the descent chains included; the
+# lru_cache on _lower_coxeter holds the ones callers asked for.  _ELEMENTS keeps
+# one object per element of any ideal, so equal elements of different ideals
+# share their cached length and descents.
+_LOWER: dict[AffPerm, frozenset[AffPerm]] = {}
+_ELEMENTS: dict[AffPerm, AffPerm] = {}
+
+
+def _shared(w: AffPerm) -> AffPerm:
+    return _ELEMENTS.setdefault(w, w)
+
+
+def shared_elements() -> int:
+    """The number of distinct elements across all memoized lower ideals."""
+    return len(_ELEMENTS)
+
+
 @functools.lru_cache(maxsize=None)
 def _lower_coxeter(w: AffPerm) -> frozenset[AffPerm]:
-    if w.is_identity():
-        return frozenset([w])
-    s = generator(w.r, min(w.left_descents))
-    below = _lower_coxeter(s * w)
-    return below | frozenset(s * y for y in below)
+    """The ideal {y <= w} in W', as below | s*below for below the ideal of s*w,
+    s the lowest left descent of w.  The chain of such steps is walked down to a
+    memoized ideal, then back up, in a loop: its length is l(w), too deep for
+    recursion."""
+    below = _LOWER.get(w)
+    chain = []
+    while below is None and not w.is_identity():
+        s = generator(w.r, min(w.left_descents))
+        chain.append((w, s))
+        w = _shared(s * w)
+        below = _LOWER.get(w)
+    if below is None:
+        below = _LOWER[w] = frozenset([_shared(w)])
+    for v, s in reversed(chain):
+        below = _LOWER[v] = below | frozenset(_shared(s * y) for y in below)
+    return below
 
 
 def bruhat_lower(w: AffPerm) -> frozenset[AffPerm]:

@@ -218,10 +218,19 @@ def h_bar(a: HeckeElt) -> HeckeElt:
 
 _KL: dict[tuple[int, tuple, tuple], LaurentPoly] = {}
 _KL_STATS = {"hits": 0, "computed": 0, "loaded": 0}
+# One object per distinct memo value (most records are 0, 1 or 1 + q), and one
+# per coefficient t^{-l} P of C_w; LaurentPoly values are never mutated in place.
+_POLYS: dict[LaurentPoly, LaurentPoly] = {}
+_C_COEFFS: dict[tuple[LaurentPoly, int], LaurentPoly] = {}
+
+
+def _intern(p: LaurentPoly) -> LaurentPoly:
+    return _POLYS.setdefault(p, p)
 
 
 def kl_memo_stats() -> dict:
-    return dict(_KL_STATS, entries=len(_KL))
+    return dict(_KL_STATS, entries=len(_KL), distinct_polys=len(_POLYS),
+                shared_elements=affperm.shared_elements())
 
 
 def kl_memo_items() -> list[tuple[int, tuple, tuple, LaurentPoly]]:
@@ -233,7 +242,7 @@ def kl_memo_insert(r: int, y: tuple, w: tuple, p: LaurentPoly) -> bool:
     key = (r, tuple(y), tuple(w))
     if key in _KL:
         return False
-    _KL[key] = p
+    _KL[key] = _intern(p)
     _KL_STATS["loaded"] += 1
     return True
 
@@ -276,7 +285,7 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
             val.degree() > w.length - y.length - 1
         ):
             raise KLInvariantViolation(f"KL recursion violated degree bounds at {key}: {val!r}")
-    _KL[key] = val
+    val = _KL[key] = _intern(val)
     _KL_STATS["computed"] += 1
     return val
 
@@ -308,11 +317,17 @@ def kl_mu(y: AffPerm, w: AffPerm) -> int:
 def c_elt(w: AffPerm) -> HeckeElt:
     """C_w = t^{-l(w)} sum_{y <= w} P_{y,w}(q) T_y, in the T-basis."""
     a, u = w.omega_split()
-    scale = t_pow(-u.length)
-    terms = {
-        y.shift(a): _kl(y, u) * scale for y in bruhat_lower(u)
-    }
-    return HeckeElt(w.r, "T", terms)
+    lu = u.length
+    return HeckeElt(w.r, "T", {y.shift(a): _c_coeff(_kl(y, u), lu) for y in bruhat_lower(u)})
+
+
+def _c_coeff(p: LaurentPoly, length: int) -> LaurentPoly:
+    """t^{-length} p for an interned memo value p, built once per (p, length)."""
+    key = (p, length)
+    c = _C_COEFFS.get(key)
+    if c is None:
+        c = _C_COEFFS[key] = p * t_pow(-length)
+    return c
 
 
 def cprime_elt(w: AffPerm) -> HeckeElt:

@@ -52,15 +52,7 @@ class KLCache:
         if not fresh:
             return 0
         fresh.sort(key=lambda t: (t[0], len(t[2]), t[2], t[1]))
-        lines = [
-            json.dumps(
-                {"r": r, "y": list(y), "w": list(w), "P": p.to_json()},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-            for r, y, w, p in fresh
-        ]
+        lines = _lines(fresh)
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write("".join(lines))
@@ -79,6 +71,21 @@ class KLCache:
             "corrupt_lines_skipped": self.corrupt,
             "memo": hecke.kl_memo_stats(),
         }
+
+
+def _lines(records) -> list[str]:
+    """One cache line per (r, y, w, P), each equal to the json.dumps of the
+    record with sorted keys and no spaces; the text of P is built once per
+    distinct polynomial."""
+    texts: dict[LaurentPoly, str] = {}
+    out = []
+    for r, y, w, p in records:
+        text = texts.get(p)
+        if text is None:
+            text = texts[p] = json.dumps(p.to_json(), sort_keys=True, separators=(",", ":"))
+        out.append(f'{{"P":{text},"r":{r},"w":[{",".join(map(str, w))}],'
+                   f'"y":[{",".join(map(str, y))}]}}\n')
+    return out
 
 
 def _records(path: str):

@@ -215,10 +215,8 @@ class PeriodicMatrix:
             seen.add((i, j))
         if not ent:
             raise InvalidMatrix("zero matrices (r = 0) are rejected")
-
-    @property
-    def r(self) -> int:
-        return sum(a for _, _, a in self.entries)
+        # r = the sum of the entries, read far more often than a matrix is built
+        object.__setattr__(self, "r", sum(a for _, _, a in ent))
 
     def entry(self, k: int, l: int) -> int:
         """The entry a_{k,l} for arbitrary k, l in Z, by periodicity."""

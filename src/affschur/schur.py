@@ -224,6 +224,7 @@ def theta_in_phihat(B: PeriodicMatrix) -> SchurElt:
     return SchurElt(B.n, B.r, "phihat", dict(_theta_phihat(B)))
 
 
+@functools.lru_cache(maxsize=None)
 def _phihat_scale(A: PeriodicMatrix) -> int:
     """phihat_A = t^{exp} phi_A with exp = -l(w_A^+) + l(w_{0,co(A)})."""
     return -plus_rep(A).length + longest_in_parabolic(A.co).length

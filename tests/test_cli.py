@@ -4,18 +4,21 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from affschur import asymptotic, hecke, parabolic
+from affschur import asymptotic, hecke, klcache, parabolic
 from affschur.affperm import from_word
 from affschur.cli import MAX_PERIOD, main
 from affschur.parabolic import compositions, matrix_of
 from affschur.klcache import KLCache, scan_stats
+from affschur.laurent import LaurentPoly
 
 _M = json.dumps({"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]})
 _WINDOW = ("--n", "2", "--r", "2", "--L", "2", "--omega-window=-1:1")
@@ -267,6 +270,41 @@ def test_cache_cold_then_warm(tmp_path, capsys):
     assert stats2["appended"] == 0
     # warm run sees every record (fresh loads or in-memory hits)
     assert stats2["loaded"] + stats2["duplicates"] >= stats1["appended"]
+    memo = stats2["memo"]
+    assert 1 <= memo["distinct_polys"] <= memo["entries"]
+    assert memo["shared_elements"] >= 4
+
+
+@st.composite
+def cache_records(draw):
+    # a few polynomials shared by many records, as in a real memo: the zero
+    # polynomial, negative coefficients and exponents >= 10 included
+    polys = draw(st.lists(
+        st.dictionaries(st.integers(-12, 12), st.integers(-12, 12), max_size=4).map(LaurentPoly),
+        min_size=1, max_size=4,
+    ))
+    r = draw(st.integers(1, 4))
+    window = st.lists(st.integers(-15, 15), min_size=r, max_size=r).map(tuple)
+    return draw(st.lists(st.tuples(st.just(r), window, window, st.sampled_from(polys)),
+                         max_size=12))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(cache_records())
+@example([(2, (-3, 6), (0, 3), LaurentPoly({2: 1, 10: -2})), (2, (1, 2), (1, 2), LaurentPoly(0)),
+          (2, (4, -1), (0, 3), LaurentPoly({2: 1, 10: -2}))])
+def test_cache_lines_are_json_dumps_of_the_records(records):
+    lines = klcache._lines(records)
+    assert lines == [
+        json.dumps({"r": r, "y": list(y), "w": list(w), "P": p.to_json()},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for r, y, w, p in records
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kl.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines))
+        assert list(klcache._records(path)) == [((r, y, w), p) for r, y, w, p in records]
 
 
 def test_cache_truncated_line_and_stats(tmp_path, capsys):

@@ -142,6 +142,56 @@ def test_bar_t_walks_long_chains_without_recursion():
     assert bar == _bar_t_by_word(w)
 
 
+def test_lower_ideal_walks_long_chains_without_recursion():
+    # 120 uncached steps down to the identity would need 120 nested calls; in
+    # type A~1 the interval [e, w] is w and all 2 l(w) - 1 shorter elements
+    w = from_word(2, 0, [0, 1] * 60)
+    affperm._lower_coxeter.cache_clear()
+    affperm._LOWER.clear()
+    affperm._ELEMENTS.clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        lower = affperm.bruhat_lower(w)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w.length == 120 and len(lower) == 240
+    assert lower == set(ball(2, 119)) | {w}
+
+
+def _assert_shared(values):
+    """Equal values among these are one object."""
+    first = {}
+    for v in values:
+        assert first.setdefault(v, v) is v, v
+
+
+def test_memo_values_and_ideal_elements_are_shared():
+    ws = ball(3, 6)
+    for w in ws:
+        c_elt(w)
+    _assert_shared(p for _, _, _, p in hecke.kl_memo_items())
+    _assert_shared(c for w in ws for c in c_elt(w).terms.values())
+    ideals = [affperm.bruhat_lower(w) for w in ws]
+    _assert_shared(y for ideal in ideals for y in ideal)
+    stats = hecke.kl_memo_stats()
+    assert stats["distinct_polys"] < 20 < stats["entries"]
+    assert stats["shared_elements"] >= len(ws)
+
+
+def test_arithmetic_leaves_shared_memo_values_unchanged():
+    w = from_word(3, 0, [0, 1, 2, 0])
+    assert kl_poly(identity(3), w) == 1 + Q
+    records = {(r, y, v): p.to_json() for r, y, v, p in hecke.kl_memo_items()}
+    p = kl_poly(identity(3), w)
+    c = c_elt(w)
+    results = [p + p, p - 1, 1 - p, -p, p * Q, 3 * p, p**2, p.bar(), p.neg_t(),
+               c + c, c - c, c.scale(T), h_bar(c), t_to_c(c), j_inv(c), c_to_t(t_to_c(c))]
+    assert results[0] == 2 + 2 * Q and h_bar(c) == c
+    assert kl_poly(identity(3), w) is p and p == 1 + Q
+    assert {(r, y, v): p.to_json() for r, y, v, p in hecke.kl_memo_items()} == records
+
+
 @st.composite
 def t_combination_pairs(draw):
     r = draw(st.integers(2, 4))

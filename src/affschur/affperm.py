@@ -35,12 +35,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# One object per element: the validated constructor and _unchecked both return
+# the entry for the window (whose length is r), so equal elements share one
+# hash, length, descent set and inverse.  Never cleared: memo tables hold these.
+_CANONICAL: dict[tuple[int, ...], "AffPerm"] = {}
+
+
+@dataclass(frozen=True, init=False)
 class AffPerm:
-    """A periodic permutation of Z with period r, given by its window."""
+    """A periodic permutation of Z with period r, given by its window.
+
+    Building an element equal to an existing one returns the existing object.
+    """
 
     r: int
     window: tuple[int, ...]
+
+    def __new__(cls, r: int, window: Iterable[int]) -> "AffPerm":
+        w = object.__new__(cls)
+        w.__dict__.update(r=r, window=window)
+        w.__post_init__()  # validate before the table sees the window
+        return AffPerm._unchecked(r, w.window)
 
     def __post_init__(self):
         object.__setattr__(self, "window", tuple(self.window))
@@ -53,11 +68,20 @@ class AffPerm:
 
     @staticmethod
     def _unchecked(r: int, window: tuple[int, ...]) -> "AffPerm":
-        # For results of group operations on valid elements: skips validation.
-        w = object.__new__(AffPerm)
-        object.__setattr__(w, "r", r)
-        object.__setattr__(w, "window", window)
+        # For windows known to be valid, such as results of group operations on
+        # valid elements: skips validation.
+        w = _CANONICAL.get(window)
+        if w is None:
+            w = _CANONICAL[window] = object.__new__(AffPerm)
+            w.__dict__.update(r=r, window=window, _hash=hash((r, window)))
         return w
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the canonical object
+        return AffPerm, (self.r, self.window)
 
     # -- evaluation and group law ----------------------------------------
 
@@ -251,20 +275,13 @@ def bruhat_leq(y: AffPerm, w: AffPerm) -> bool:
 
 
 # _LOWER holds every ideal built, those along the descent chains included; the
-# lru_cache on _lower_coxeter holds the ones callers asked for.  _ELEMENTS keeps
-# one object per element of any ideal, so equal elements of different ideals
-# share their cached length and descents.
+# lru_cache on _lower_coxeter holds the ones callers asked for.
 _LOWER: dict[AffPerm, frozenset[AffPerm]] = {}
-_ELEMENTS: dict[AffPerm, AffPerm] = {}
-
-
-def _shared(w: AffPerm) -> AffPerm:
-    return _ELEMENTS.setdefault(w, w)
 
 
 def shared_elements() -> int:
-    """The number of distinct elements across all memoized lower ideals."""
-    return len(_ELEMENTS)
+    """The number of distinct elements built so far: each is one object."""
+    return len(_CANONICAL)
 
 
 @functools.lru_cache(maxsize=None)
@@ -278,12 +295,12 @@ def _lower_coxeter(w: AffPerm) -> frozenset[AffPerm]:
     while below is None and not w.is_identity():
         s = generator(w.r, min(w.left_descents))
         chain.append((w, s))
-        w = _shared(s * w)
+        w = s * w
         below = _LOWER.get(w)
     if below is None:
-        below = _LOWER[w] = frozenset([_shared(w)])
+        below = _LOWER[w] = frozenset([w])
     for v, s in reversed(chain):
-        below = _LOWER[v] = below | frozenset(_shared(s * y) for y in below)
+        below = _LOWER[v] = below | frozenset(s * y for y in below)
     return below
 
 

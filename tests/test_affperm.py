@@ -5,8 +5,10 @@ Bruhat lifting recursion against a reduced-subword oracle, as independent
 routes to the same data.
 """
 
+import copy
 import doctest
 import itertools
+import pickle
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from affschur.affperm import (
     rho_conjugate,
 )
 from affschur.errors import IndexOutOfRange, InvalidWindow, PeriodMismatch
+from affschur.parabolic import Composition, matrix_of, min_rep, young_elements
 
 
 def bfs_lengths(r, bound):
@@ -262,6 +265,71 @@ def test_unchecked_results_pass_validation(case):
         assert type(res.window) is tuple
         assert AffPerm(res.r, res.window) == res
     assert rho(x.r, a) * u == x and u.omega_degree == 0
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(perm_pairs())
+def test_equal_elements_are_one_object(case):
+    # every construction path returns the canonical object, whose hash is that
+    # of (r, window): the stored hash keeps set and dict iteration order
+    x, y, k = case
+    results = [x * y, x.inverse, x.omega_split()[1], x.shift(k, k), rho_conjugate(x, k)]
+    for res in results:
+        assert AffPerm(res.r, list(res.window)) is res
+        assert hash(res) == hash((res.r, res.window))
+    assert x * y is x * y and x.inverse.inverse is x
+
+
+def test_construction_paths_share_one_object():
+    s1, e = generator(3, 1), identity(3)
+    w = from_word(3, 0, [0, 1, 2, 1])
+    trivial = Composition(3, (1, 1, 1))
+    young = young_elements(Composition(2, (2, 1)))
+    cases = [
+        (AffPerm(3, (2, 1, 3)), s1),
+        (AffPerm(3, [2, 1, 3]), s1),
+        (from_word(3, 0, [1]), s1),
+        (s1 * s1, e),
+        (s1.inverse, s1),
+        (rho(3, 1).shift(-1), e),
+        (rho(3, 2).omega_split()[1], e),
+        (rho_conjugate(generator(3, 0), 1), s1),
+        (rho(3, 1), e.shift(1)),
+        (next(y for y in ball(3, 1) if y.window == (2, 1, 3)), s1),
+        (next(y for y in young if y.window == (2, 1, 3)), s1),
+        (min_rep(matrix_of(trivial, w, trivial)), AffPerm(3, w.window)),
+    ]
+    for built, canonical in cases:
+        assert built is canonical, built
+    fresh = AffPerm(4, [101, -98, 3, 4])  # a list window, not built before
+    assert type(fresh.window) is tuple and AffPerm(4, (101, -98, 3, 4)) is fresh
+
+
+@pytest.mark.parametrize(
+    "r, window, error",
+    [
+        (2, (1.0, 2), TypeError),
+        (2, (1, True), TypeError),
+        ("2", (1, 2), TypeError),
+        (3, (1, 2), InvalidWindow),
+        (2, (1, 3), InvalidWindow),
+    ],
+)
+def test_failed_construction_leaves_the_table_unchanged(r, window, error):
+    # validation runs before the lookup: (1.0, 2) and (1, True) hash and
+    # compare equal to the window (1, 2), which must not be returned for them
+    e = identity(2)
+    before = affperm.shared_elements()
+    with pytest.raises(error):
+        AffPerm(r, window)
+    assert affperm.shared_elements() == before
+    assert identity(2) is e and all(type(v) is int for v in e.window)
+
+
+def test_copies_are_the_canonical_object():
+    w = from_word(3, 1, [0, 2, 1])
+    assert copy.copy(w) is w and copy.deepcopy(w) is w
+    assert pickle.loads(pickle.dumps(w)) is w
 
 
 @st.composite

@@ -148,7 +148,6 @@ def test_lower_ideal_walks_long_chains_without_recursion():
     w = from_word(2, 0, [0, 1] * 60)
     affperm._lower_coxeter.cache_clear()
     affperm._LOWER.clear()
-    affperm._ELEMENTS.clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:

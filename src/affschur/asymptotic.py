@@ -205,40 +205,37 @@ def certified_a(z: AffPerm, length_bound: int) -> AValue:
 # gamma-coefficients
 
 
+def _gammas(terms, length_bound: int) -> dict:
+    """{key: gamma} over (key, z, h) terms, gamma the coefficient of t^{a(z)}
+    in h, zeros dropped; UncertifiedAValue unless every a(z) is certified."""
+    out = {}
+    for key, z, h in terms:
+        av = certified_a(z, length_bound)
+        if not av.certified:
+            raise UncertifiedAValue(f"a({z}) not certified at radius {av.scan_radius}")
+        g = h.coeff(av.value)
+        if g:
+            out[key] = g
+    return out
+
+
 def gamma(x: AffPerm, y: AffPerm, z: AffPerm, length_bound: int = 4) -> int:
     """The coefficient of t^{a(z)} in h_{x,y,z}; requires a certified a(z)."""
-    av = certified_a(z, length_bound)
-    if not av.certified:
-        raise UncertifiedAValue(f"a({z}) not certified at radius {av.scan_radius}")
-    h = h_expansion(x, y).get(z, ZERO)
-    return h.coeff(av.value)
+    return _gammas([(z, z, h_expansion(x, y).get(z, ZERO))], length_bound).get(z, 0)
 
 
 def gamma_expansion(
     x: AffPerm, y: AffPerm, length_bound: int = 4
 ) -> dict[AffPerm, int]:
     """All nonzero gamma_{x,y,z}: the J-ring product t_x t_y."""
-    out: dict[AffPerm, int] = {}
-    for z, h in h_expansion(x, y).items():
-        av = certified_a(z, length_bound)
-        if not av.certified:
-            raise WindowExceeded(
-                f"product term {z} has uncertified a-value at radius {av.scan_radius}"
-            )
-        g = h.coeff(av.value)
-        if g:
-            out[z] = g
-    return out
+    return _gammas(((z, z, h) for z, h in h_expansion(x, y).items()), length_bound)
 
 
 def gamma_mat(
     A: PeriodicMatrix, B: PeriodicMatrix, C: PeriodicMatrix, length_bound: int = 4
 ) -> int:
-    """gamma_{A,B,C}: the Hecke gamma of the sigma's when g_{A,B,C} is nonzero."""
-    for C2, g in g_expansion(A, B):
-        if C2 == C and not g.is_zero():
-            return gamma(plus_rep(A), plus_rep(B), plus_rep(C), length_bound)
-    return 0
+    """gamma_{A,B,C}: the Hecke gamma of the sigma's, zero unless C is in the product."""
+    return _gammas((t for t in max_rep_terms(A, B) if t[0] == C), length_bound).get(C, 0)
 
 
 def gamma_mat_expansion(
@@ -249,15 +246,7 @@ def gamma_mat_expansion(
     gamma_{A,B,C} is the Hecke gamma of the longest representatives, so one
     read of C_{w_A^+} C_{w_B^+} serves every C.
     """
-    out: dict[PeriodicMatrix, int] = {}
-    for C, z, h in max_rep_terms(A, B):
-        av = certified_a(z, length_bound)
-        if not av.certified:
-            raise UncertifiedAValue(f"a({z}) not certified at radius {av.scan_radius}")
-        g = h.coeff(av.value)
-        if g:
-            out[C] = g
-    return out
+    return _gammas(max_rep_terms(A, B), length_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -509,65 +498,68 @@ def _scc_partition(n: int, relation: set[tuple[int, int]]) -> list[list[int]]:
     return sorted(map(list, classes))
 
 
+def _left_cells(items, related) -> list[list]:
+    """The classes of items in order: each item joins the first class whose
+    first member it is related to, or opens a new one."""
+    classes: list[list] = []
+    for x in items:
+        for cls in classes:
+            if related(x, cls[0]):
+                cls.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
 def hecke_sim_L(x: AffPerm, y: AffPerm, length_bound: int = 4) -> bool:
     """x ~L y in W, by the exact criterion t_x t_{y^{-1}} != 0."""
     return bool(gamma_expansion(x, y.inverse, length_bound))
 
 
+def _one_step_edges(elements, side: str) -> set[tuple[int, int]]:
+    """The sound one-step edges (a, b), as indexes into elements: a lies in
+    the support of c.b (side L) or of b.c (side R) for some c in elements.
+    Matrix pairs that do not compose (theta_x theta_y = 0) are skipped."""
+    index = {k: i for i, k in enumerate(elements)}
+    edges = set()
+    for b in elements:
+        for c in elements:
+            x, y = (c, b) if side == "L" else (b, c)
+            if isinstance(x, AffPerm):
+                support = h_expansion(x, y).keys()
+            elif x.co != y.ro:
+                continue
+            else:
+                support = (C for C, _ in g_expansion(x, y))
+            for a in support:
+                ia = index.get(a)
+                if ia is not None:
+                    edges.add((ia, index[b]))
+    return edges
+
+
 def cell_preorder(elements, flavor: str = "L") -> CellReport:
     """Window-bounded cell preorder over Hecke elements or matrices.
 
-    One-step relations come from products with left (and, for LR, right)
-    factors inside the window, then the reflexive-transitive closure is taken
-    and its strongly-connected components reported as cells.  Because the
-    quantified factor ranges only over the window, missing edges (never wrong
-    edges) are possible; the caveats say so.
+    One-step relations come from products with left (flavor L), right
+    (flavor R) or both (flavor LR) factors inside the window, then the
+    reflexive-transitive closure is taken and its strongly-connected
+    components reported as cells.  Because the quantified factor ranges only
+    over the window, missing edges (never wrong edges) are possible; the
+    caveats say so.
     """
-    elements = sorted(set(elements), key=lambda k: k.sort_key)
-    index = {k: i for i, k in enumerate(elements)}
-    n = len(elements)
-    is_hecke = bool(elements) and isinstance(elements[0], AffPerm)
-
-    def left_edges(items) -> set[tuple[int, int]]:
-        edges = set()
-        for b in items:
-            for c in items:
-                if is_hecke:
-                    support = h_expansion(c, b).keys()
-                elif c.co != b.ro:
-                    continue  # theta_c theta_b = 0
-                else:
-                    support = (C for C, _ in g_expansion(c, b))
-                for a in support:
-                    ia = index.get(a)
-                    if ia is not None:
-                        edges.add((ia, index[b]))
-        return edges
-
-    if flavor == "L":
-        edges = left_edges(elements)
-    elif flavor == "R":
-        flip = (lambda w: w.inverse) if is_hecke else (lambda A: A.transpose())
-        rep = cell_preorder([flip(k) for k in elements], "L")
-        edges = {
-            (index[flip(rep.elements[a])], index[flip(rep.elements[b])])
-            for a, b in rep.edges
-        }
-    elif flavor == "LR":
-        left = cell_preorder(elements, "L").edges
-        right = cell_preorder(elements, "R").edges
-        edges = set(left) | set(right)
-    else:
+    if flavor not in ("L", "R", "LR"):
         raise BasisMismatch(f"unknown cell flavor {flavor!r}")
-
-    closure = _transitive_closure(n, set(edges))
-    cells = _scc_partition(n, closure)
+    elements = sorted(set(elements), key=lambda k: k.sort_key)
+    n = len(elements)
+    edges = set().union(*(_one_step_edges(elements, side) for side in flavor))
     return CellReport(
         flavor=flavor,
         window=f"{n} elements",
-        elements=list(elements),
+        elements=elements,
         edges=sorted(edges),
-        cells=cells,
+        cells=_scc_partition(n, _transitive_closure(n, edges)),
         caveats=[
             "window-bounded: relations are sound but cells may merge or extend "
             "outside the window"
@@ -595,26 +587,15 @@ def lowest_cell(
             raise UncertifiedAValue(f"a({A}) uncertified; enlarge the window")
         if av.value == nu_r:
             members.append(A)
-    members = sorted(members, key=lambda A: A.sort_key)
-    index = {A: i for i, A in enumerate(members)}
 
     # partition the sigma values by Hecke ~L (exact criterion)
     sigmas = sorted({plus_rep(A) for A in members}, key=lambda w: w.sort_key)
-    sig_class: dict[AffPerm, int] = {}
-    reps: list[AffPerm] = []
-    for s in sigmas:
-        for ci, rep in enumerate(reps):
-            if hecke_sim_L(s, rep, length_bound):
-                sig_class[s] = ci
-                break
-        else:
-            sig_class[s] = len(reps)
-            reps.append(s)
+    classes = _left_cells(sigmas, lambda s, rep: hecke_sim_L(s, rep, length_bound))
+    sig_class = {s: ci for ci, cls in enumerate(classes) for s in cls}
 
     groups: dict[tuple, list[int]] = {}
-    for A in members:
-        key = (A.co.parts, sig_class[plus_rep(A)])
-        groups.setdefault(key, []).append(index[A])
+    for i, A in enumerate(members):
+        groups.setdefault((A.co.parts, sig_class[plus_rep(A)]), []).append(i)
     cells = sorted(sorted(g) for g in groups.values())
     return CellReport(
         flavor="L",
@@ -714,12 +695,9 @@ class _Window:
     @functools.cached_property
     def preorder(self) -> dict[str, list[tuple[PeriodicMatrix, PeriodicMatrix]]]:
         """The L, R and LR preorders, from the sound one-step edges of in-window
-        products; the window is transpose-closed, so R-edges are the
-        transposed L-edges."""
+        products."""
         win = self.mats
-        index = {A: i for i, A in enumerate(win)}
-        edges_L = set(cell_preorder(win, "L").edges)
-        edges_R = {(index[win[a].transpose()], index[win[b].transpose()]) for a, b in edges_L}
+        edges_L, edges_R = _one_step_edges(win, "L"), _one_step_edges(win, "R")
         edges = {"L": edges_L, "R": edges_R, "LR": edges_L | edges_R}
         return {
             flavor: [(win[a], win[b]) for a, b in _transitive_closure(len(win), e)]
@@ -930,14 +908,7 @@ def _q13(w: _Window, t: _Tally) -> None:
     classes of the certified matrices; a cell whose involution lies outside
     the window is skipped."""
     with t:
-        classes: list[list[PeriodicMatrix]] = []
-        for A in w.certified:
-            for cls in classes:
-                if A.co == cls[0].co and w.sim_L(A, cls[0]):
-                    cls.append(A)
-                    break
-            else:
-                classes.append([A])
+        classes = _left_cells(w.certified, lambda A, B: A.co == B.co and w.sim_L(A, B))
         for cls in classes:
             with t:
                 ds = [A for A in cls if w.is_dinv(A)]

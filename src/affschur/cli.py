@@ -481,6 +481,10 @@ def main(argv: "list[str] | None" = None) -> int:
         }
         if cfg["format"] not in FORMATS:
             raise UsageError(f"unknown output format {cfg['format']!r}")
+        if cfg["L"] < 0:
+            raise UsageError(f"length bound L={cfg['L']} is negative")
+        if cfg["r"] is not None:
+            _check_period(cfg["r"])  # before any command enumerates windows of that size
         if cfg["cache"]:
             cache = klcache.KLCache(cfg["cache"]).load()
         out = args.fn(args, cfg)

@@ -46,7 +46,9 @@ from typing import Iterable, Mapping
 from . import affperm
 from .affperm import AffPerm, bruhat_lower
 from .errors import BasisMismatch, KLInvariantViolation, PeriodMismatch
-from .laurent import ONE, Q, QINV, T, TINV, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
+from .laurent import (
+    ONE, Q, QINV, T, TINV, ZERO, Combination, LaurentPoly, bilinear, linear, peel, t_pow,
+)
 from .parabolic import Composition, PeriodicMatrix, double_coset, young_elements
 
 __all__ = [
@@ -340,19 +342,9 @@ def t_to_c(a: HeckeElt) -> HeckeElt:
     """Rewrite a T-basis element exactly in the C-basis (triangular peeling)."""
     if a.basis != "T":
         raise BasisMismatch("t_to_c expects a T-basis element")
-    work = dict(a.terms)
-    out: dict[AffPerm, LaurentPoly] = {}
-    while work:
-        w = max(work, key=lambda x: x.sort_key)
-        g = work[w] * t_pow(w.length)
-        out[w] = g
-        for y, c in c_elt(w).terms.items():
-            nv = work.get(y, ZERO) - g * c
-            if nv.is_zero():
-                work.pop(y, None)
-            else:
-                work[y] = nv
-    return HeckeElt(a.r, "C", out)
+    # C_w has coefficient t^{-l(w)} at T_w
+    column = lambda w: (t_pow(w.length), c_elt(w).terms.items())
+    return HeckeElt(a.r, "C", peel(a.terms, lambda w: w.sort_key, column))
 
 
 def c_to_t(a: HeckeElt) -> HeckeElt:

@@ -10,7 +10,7 @@ arithmetic and ``linear`` / ``bilinear`` extend maps defined on basis keys.
 Both run one fused multiply-accumulate kernel: the products c_k * d are summed
 into raw {exponent: coefficient} dicts, one per output key, and a LaurentPoly
 is built per key only at the end.  An image coefficient may be a plain int,
-read as a constant polynomial.
+read as a constant polynomial.  ``peel`` inverts a triangular change of basis.
 
 >>> p = T + T**-1
 >>> p * p == T**2 + 2 + T**-2
@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import DivisionByZero, InexactDivision, ZeroBase
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "T", "TINV", "Q", "QINV", "NEG_INF", "t_pow",
-           "Combination", "linear", "bilinear"]
+           "Combination", "linear", "bilinear", "peel"]
 
 # degree of the zero polynomial
 NEG_INF = float("-inf")
@@ -352,3 +352,27 @@ def bilinear(
     """sum_{x,y} a_x b_y image(x, y) as a term dict: the bilinear extension."""
     pairs = {(x, y): cx * cy for x, cx in a.items() for y, cy in b.items()}
     return linear(pairs, lambda p: image(*p))
+
+
+def peel(terms: Mapping, top: Callable, column: Callable[[object], tuple]) -> dict:
+    """Solve sum_k x_k column_k = terms for a triangular change of basis, as a
+    term dict {k: x_k}.
+
+    The key k with the largest top(k) left in the remainder is peeled next:
+    column(k) = (lead, col) gives col, the column of k as (key, coeff) pairs
+    with every key but k itself strictly below k, and lead, the inverse of
+    k's own coefficient in col, so x_k = lead * (the remaining coefficient).
+    """
+    work = dict(terms)
+    out: dict = {}
+    while work:
+        k = max(work, key=top)
+        lead, col = column(k)
+        g = out[k] = work[k] * lead
+        for k2, c in col:
+            nv = work.get(k2, ZERO) - g * c
+            if nv.is_zero():
+                work.pop(k2, None)
+            else:
+                work[k2] = nv
+    return out

@@ -377,6 +377,7 @@ def d_A_combinatorial(A: PeriodicMatrix) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def d_A_coxeter(A: PeriodicMatrix) -> int:
     """The same statistic through the Coxeter picture: l(w_A^+) - l(w_{0,mu})."""
     return plus_rep(A).length - longest_in_parabolic(A.co).length

@@ -21,12 +21,13 @@ from . import hecke
 from .affperm import AffPerm, bruhat_lower
 from .errors import BasisMismatch, NotInModule, PeriodMismatch
 from .hecke import HeckeElt, coset_sum_TD, h_bar, h_expansion, h_mul, t_elt
-from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear, t_pow
+from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear, peel, t_pow
 from .parabolic import (
     Composition,
     PeriodicMatrix,
     compositions,
     coset_of,
+    d_A_coxeter,
     double_coset,
     is_max_double_rep,
     longest_in_parabolic,
@@ -224,48 +225,27 @@ def theta_in_phihat(B: PeriodicMatrix) -> SchurElt:
     return SchurElt(B.n, B.r, "phihat", dict(_theta_phihat(B)))
 
 
-@functools.lru_cache(maxsize=None)
-def _phihat_scale(A: PeriodicMatrix) -> int:
-    """phihat_A = t^{exp} phi_A with exp = -l(w_A^+) + l(w_{0,co(A)})."""
-    return -plus_rep(A).length + longest_in_parabolic(A.co).length
-
-
 def basis_convert(a: SchurElt, target: str) -> SchurElt:
-    """Exact conversion among the phi / phihat / theta / e / bracket bases."""
+    """Exact conversion among the phi / phihat / theta / e / bracket bases.
+
+    phihat_A = t^{-d_A} phi_A, and theta is unitriangular over phihat."""
     if target not in BASES:
         raise BasisMismatch(f"unknown Schur basis tag {target!r}")
     src = "phi" if a.basis == "e" else "phihat" if a.basis == "bracket" else a.basis
     dst = "phi" if target == "e" else "phihat" if target == "bracket" else target
-    out = SchurElt(a.n, a.r, src, dict(a.terms))
+    terms = dict(a.terms)
     if src != dst:
         if src == "phi":
-            out = SchurElt(
-                a.n, a.r, "phihat",
-                {A: c * t_pow(-_phihat_scale(A)) for A, c in out.terms.items()},
-            )
+            terms = {A: c * t_pow(d_A_coxeter(A)) for A, c in terms.items()}
         elif src == "theta":
-            out = SchurElt(a.n, a.r, "phihat", linear(out.terms, _theta_phihat))
-        # now out is in phihat
+            terms = linear(terms, _theta_phihat)
+        # now terms are over phihat
         if dst == "phi":
-            out = SchurElt(
-                a.n, a.r, "phi",
-                {A: c * t_pow(_phihat_scale(A)) for A, c in out.terms.items()},
-            )
+            terms = {A: c * t_pow(-d_A_coxeter(A)) for A, c in terms.items()}
         elif dst == "theta":
-            work = dict(out.terms)
-            acc = {}
-            while work:
-                B = max(work, key=lambda A: (plus_rep(A).length, A.sort_key))
-                c = work[B]
-                acc[B] = c
-                for A, d in _theta_phihat(B):
-                    nv = work.get(A, ZERO) - c * d
-                    if nv.is_zero():
-                        work.pop(A, None)
-                    else:
-                        work[A] = nv
-            out = SchurElt(a.n, a.r, "theta", acc)
-    return SchurElt(a.n, a.r, target, dict(out.terms))
+            by_length = lambda A: (plus_rep(A).length, A.sort_key)
+            terms = peel(terms, by_length, lambda B: (ONE, _theta_phihat(B)))
+    return SchurElt(a.n, a.r, target, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affschur import asymptotic
-from affschur.affperm import ball, from_word, generator, identity, rho, rho_conjugate
+from affschur.affperm import AffPerm, ball, from_word, generator, identity, rho, rho_conjugate
 from affschur.cli import main
 from affschur.errors import UncertifiedAValue, UncertifiedBoundary
 from affschur.asymptotic import (
@@ -314,6 +314,36 @@ def test_lowest_cell_counts():
     rep12 = lowest_cell(1, 2, 3, (-1, 1))
     assert rep12.extra["left_cell_count"] == 1
     assert PeriodicMatrix.diagonal(OMEGA) not in rep22.elements  # a = 0 there
+    # n^r left cells at n = 3 and 4 too
+    rep32 = lowest_cell(3, 2, 4)
+    assert (rep32.extra["left_cell_count"], rep32.extra["member_count"]) == (9, 810)
+    rep42 = lowest_cell(4, 2, 2, (-1, 1))
+    assert (rep42.extra["left_cell_count"], rep42.extra["member_count"]) == (16, 768)
+
+
+def _flipped_r_edges(elements) -> list[tuple[int, int]]:
+    """The R edges by the flip construction: the L edges of the inverses (or
+    transposes), flipped back; an oracle independent of the R side."""
+    elements = sorted(set(elements), key=lambda k: k.sort_key)
+    index = {k: i for i, k in enumerate(elements)}
+    flip = (lambda w: w.inverse) if isinstance(elements[0], AffPerm) else (lambda A: A.transpose())
+    rep = cell_preorder([flip(k) for k in elements], "L")
+    return sorted(
+        (index[flip(rep.elements[a])], index[flip(rep.elements[b])]) for a, b in rep.edges
+    )
+
+
+@pytest.mark.parametrize("elements", [
+    ball(2, 4),
+    ball(3, 3),
+    enumerate_theta(2, 2, 2, (0, 1)),  # not transpose-closed
+    enumerate_theta(3, 2, 2, (-1, 0)),  # not transpose-closed
+], ids=["ball24", "ball33", "win222", "win322"])
+def test_right_preorder_matches_the_flipped_left_preorder(elements):
+    left = cell_preorder(elements, "L")
+    right = cell_preorder(elements, "R")
+    assert right.edges == _flipped_r_edges(elements)
+    assert cell_preorder(elements, "LR").edges == sorted(set(left.edges) | set(right.edges))
 
 
 def test_lemma55_equivalences_window22():
@@ -492,6 +522,11 @@ def test_gamma_refuses_uncertifiable_values():
     assert not certified_a(z, 5).certified
     with pytest.raises(UncertifiedAValue):
         gamma(s0, z, z, 3)
+    # J_W refuses such a product term with the same class as gamma and J_Schur
+    with pytest.raises(UncertifiedAValue):
+        gamma_expansion(s0, z, 3)
+    with pytest.raises(UncertifiedAValue):
+        j_mul(j_elt(s0), j_elt(z), 3)
     with pytest.raises(UncertifiedBoundary):
         distinguished_involutions(3, 2)
     # at radius 1 the r = 3 ball still certifies completely

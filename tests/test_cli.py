@@ -13,7 +13,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from affschur import asymptotic, hecke, klcache, parabolic
+from affschur import affperm, asymptotic, hecke, klcache, parabolic
 from affschur.affperm import from_word
 from affschur.cli import MAX_PERIOD, main
 from affschur.parabolic import compositions, matrix_of
@@ -190,6 +190,47 @@ def test_period_above_bound_is_input_error(capsys, argv):
 def test_period_at_bound_is_accepted(capsys):
     out = run_json(capsys, "length", "--w", f'{{"r":{MAX_PERIOD},"word":[0]}}')
     assert out["l"] == 1 and len(out["window"]) == MAX_PERIOD
+
+
+@pytest.mark.parametrize("argv", [
+    ("cells", "--hecke", "--L", "0"),
+    ("dinv", "--L", "1"),
+    ("lowest-cell", "--n", "2"),
+    ("qsuite", "--n", "2"),
+])
+@pytest.mark.parametrize("form", ["flag", "env"])
+def test_enumeration_period_above_bound_is_input_error(capsys, monkeypatch, argv, form):
+    # --r is checked before any command enumerates a window of that period
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated before the period was checked")
+
+    for module, name in ((affperm, "ball"), (asymptotic, "distinguished_involutions"),
+                         (asymptotic, "lowest_cell"), (asymptotic, "q_suite")):
+        monkeypatch.setattr(module, name, fail)
+    if form == "flag":
+        argv += ("--r", str(MAX_PERIOD + 1))
+    else:
+        monkeypatch.setenv("AFFSCHUR_R", str(MAX_PERIOD + 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("input error:"), (code, err)
+    assert f"exceeds the supported maximum {MAX_PERIOD}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("afn", "--r", "2", "--z", "0,3"),
+    ("dinv", "--r", "2"),
+    ("cells", "--hecke", "--r", "2"),
+])
+@pytest.mark.parametrize("form", ["flag", "env"])
+def test_negative_length_bound_is_usage_error(capsys, monkeypatch, argv, form):
+    if form == "flag":
+        code, out, err = run_cli(capsys, *argv, "--L", "-1")
+    else:
+        monkeypatch.setenv("AFFSCHUR_L", "-1")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("usage error:"), (code, err)
+    assert "L=-1 is negative" in err
+    assert run_json(capsys, *argv, "--L", "0")  # the bound itself is accepted
 
 
 def test_program_fault_is_not_an_input_error(capsys, monkeypatch):

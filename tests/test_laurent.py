@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from affschur import laurent
 from affschur.errors import DivisionByZero, InexactDivision, ZeroBase
-from affschur.laurent import NEG_INF, ONE, Q, T, TINV, ZERO, LaurentPoly, bilinear, linear, t_pow
+from affschur.laurent import (
+    NEG_INF, ONE, Q, T, TINV, ZERO, LaurentPoly, bilinear, linear, peel, t_pow,
+)
 
 
 def rand_poly(rng, span=4, size=4, bound=9):
@@ -159,6 +161,22 @@ def test_bilinear_matches_naive_sum(a, b, table):
         (z, cx * cy, d) for x, cx in a.items() for y, cy in b.items() for z, d in image(x, y)
     )
     assert bilinear(a, b, image) == naive
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.dictionaries(_keys, _polys, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.dictionaries(_keys, _images),
+)
+def test_peel_inverts_a_triangular_change_of_basis(x, leads, tails):
+    # column k is t^{-m_k} at k itself plus a tail of keys below k; lead t^{m_k}
+    def column(k):
+        tail = [(j, d) for j, d in tails.get(k, []) if j < k]
+        return t_pow(leads[k]), [(k, t_pow(-leads[k]))] + tail
+
+    x = {k: c for k, c in x.items() if c}
+    assert peel(linear(x, lambda k: column(k)[1]), lambda k: k, column) == x
 
 
 def test_linear_edge_cases():

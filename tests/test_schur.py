@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from affschur import schur
+from affschur import parabolic, schur
 from affschur.affperm import generator, identity, rho
 from affschur.errors import BasisMismatch, NotInModule
 from affschur.hecke import HeckeElt, c_elt, h_mul, t_elt, x_lambda
@@ -207,7 +207,7 @@ def test_two_route_multiplication_agrees():
 
 def test_theta_mul_reads_no_memo_of_the_phi_route():
     # the two routes are independent only if theta_mul never reaches these
-    memos = (schur._phihat_scale, schur._phi_pair, schur._theta_phihat)
+    memos = (parabolic.d_A_coxeter, schur._phi_pair, schur._theta_phihat)
     before = [m.cache_info() for m in memos]
     win = window22(4, (-2, 2))
     for A in win:

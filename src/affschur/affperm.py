@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import IndexOutOfRange, InvalidWindow, PeriodMismatch
+from .interned import Interned
 
 __all__ = [
     "AffPerm",
@@ -35,27 +36,16 @@ __all__ = [
 ]
 
 
-# One object per element: the validated constructor and _unchecked both return
-# the entry for the window (whose length is r), so equal elements share one
-# hash, length, descent set and inverse.  Never cleared: memo tables hold these.
-_CANONICAL: dict[tuple[int, ...], "AffPerm"] = {}
-
-
-@dataclass(frozen=True, init=False)
-class AffPerm:
+@dataclass(frozen=True, eq=False, init=False)
+class AffPerm(Interned):
     """A periodic permutation of Z with period r, given by its window.
 
-    Building an element equal to an existing one returns the existing object.
+    Building an element equal to an existing one returns the existing object,
+    so equal elements share one hash, length, descent set and inverse.
     """
 
     r: int
     window: tuple[int, ...]
-
-    def __new__(cls, r: int, window: Iterable[int]) -> "AffPerm":
-        w = object.__new__(cls)
-        w.__dict__.update(r=r, window=window)
-        w.__post_init__()  # validate before the table sees the window
-        return AffPerm._unchecked(r, w.window)
 
     def __post_init__(self):
         object.__setattr__(self, "window", tuple(self.window))
@@ -65,23 +55,6 @@ class AffPerm:
             raise InvalidWindow(f"window {self.window} has wrong size for r={self.r}")
         if len({v % self.r for v in self.window}) != self.r:
             raise InvalidWindow(f"window {self.window} repeats a residue mod {self.r}")
-
-    @staticmethod
-    def _unchecked(r: int, window: tuple[int, ...]) -> "AffPerm":
-        # For windows known to be valid, such as results of group operations on
-        # valid elements: skips validation.
-        w = _CANONICAL.get(window)
-        if w is None:
-            w = _CANONICAL[window] = object.__new__(AffPerm)
-            w.__dict__.update(r=r, window=window, _hash=hash((r, window)))
-        return w
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor: the canonical object
-        return AffPerm, (self.r, self.window)
 
     # -- evaluation and group law ----------------------------------------
 
@@ -281,7 +254,7 @@ _LOWER: dict[AffPerm, frozenset[AffPerm]] = {}
 
 def shared_elements() -> int:
     """The number of distinct elements built so far: each is one object."""
-    return len(_CANONICAL)
+    return len(AffPerm._table)
 
 
 @functools.lru_cache(maxsize=None)

@@ -403,7 +403,7 @@ def lusztig_phi_hecke(w: AffPerm, length_bound: int) -> JElt:
         for u, h in h_expansion(w, d).items():
             au = certified_a(u, length_bound)
             if not au.certified:
-                raise WindowExceeded(f"a({u}) uncertified in phi(C_w) truncation")
+                raise UncertifiedAValue(f"a({u}) uncertified in phi(C_w) truncation")
             if au.value == ad.value:
                 acc[u] = acc.get(u, ZERO) + h
     return JElt("J_W", w.r, 0, acc)
@@ -425,7 +425,7 @@ def lusztig_phi_schur(A: PeriodicMatrix, length_bound: int) -> JElt:
         for B, g in g_expansion(A, D):
             aB = certified_a(plus_rep(B), length_bound)
             if not aB.certified:
-                raise WindowExceeded(f"a({B}) uncertified in Phi truncation")
+                raise UncertifiedAValue(f"a({B}) uncertified in Phi truncation")
             if aB.value == aD.value:
                 acc[B] = acc.get(B, ZERO) + g
     return JElt("J_Schur", A.r, A.n, acc)

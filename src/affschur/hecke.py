@@ -19,9 +19,9 @@ P_{y,sw}, and subtract mu(z, sw) P_{y,z} over z with sz < z and y <= z.  One
 list per w, of the nonzero mu(z, w) with z < w and l(w) - l(z) odd, feeds
 both this recursion and the C-basis product below; the recursion's Bruhat
 tests are lookups in the cached lower ideals.  The memo table is keyed by
-pairs in W' after splitting off the rho-power (P is invariant under a common
-rho twist).  Correctness is not taken on faith: the acceptance suite
-re-derives bar(C_w) = C_w and the degree bounds over whole balls.
+pairs of elements of W' after splitting off the rho-power (P is invariant
+under a common rho twist).  Correctness is not taken on faith: the acceptance
+suite re-derives bar(C_w) = C_w and the degree bounds over whole balls.
 
 Structure constants are computed in the C-basis through the W-graph, never
 through the T-basis.  For s a simple reflection, C_s C_w = (t + 1/t) C_w when
@@ -70,6 +70,7 @@ __all__ = [
     "psi",
     "is_in_H_IJ",
     "kl_memo_stats",
+    "kl_memo",
     "kl_memo_items",
     "kl_memo_insert",
 ]
@@ -183,6 +184,9 @@ _TS_INV = (QINV, QINV - 1)  # T_s^{-1} = q^{-1} T_s + (q^{-1} - 1)
 
 
 _BAR: dict[AffPerm, HeckeElt] = {}
+# One object per distinct coefficient of the values in _BAR; a table of its
+# own, so the bar oracle shares nothing with the KL layer.
+_BAR_COEFFS: dict[LaurentPoly, LaurentPoly] = {}
 
 
 def _bar_t(w: AffPerm) -> HeckeElt:
@@ -201,9 +205,11 @@ def _bar_t(w: AffPerm) -> HeckeElt:
         w = w * s
         val = _BAR.get(w)
     if val is None:
-        val = _BAR[w] = HeckeElt(w.r, "T", {w: ONE})
+        val = _BAR[w] = HeckeElt(w.r, "T", {w: _BAR_COEFFS.setdefault(ONE, ONE)})
     for v, s in reversed(chain):
-        val = _BAR[v] = HeckeElt(v.r, "T", _mul_gen_right(val.terms, s, *_TS_INV))
+        terms = _mul_gen_right(val.terms, s, *_TS_INV)
+        val = _BAR[v] = HeckeElt(v.r, "T", {x: _BAR_COEFFS.setdefault(c, c)
+                                            for x, c in terms.items()})
     return val
 
 
@@ -218,7 +224,7 @@ def h_bar(a: HeckeElt) -> HeckeElt:
 # ---------------------------------------------------------------------------
 # Kazhdan-Lusztig polynomials
 
-_KL: dict[tuple[int, tuple, tuple], LaurentPoly] = {}
+_KL: dict[tuple[AffPerm, AffPerm], LaurentPoly] = {}
 _KL_STATS = {"hits": 0, "computed": 0, "loaded": 0}
 # One object per distinct memo value (most records are 0, 1 or 1 + q), and one
 # per coefficient t^{-l} P of C_w; LaurentPoly values are never mutated in place.
@@ -235,13 +241,20 @@ def kl_memo_stats() -> dict:
                 shared_elements=affperm.shared_elements())
 
 
+def kl_memo() -> Mapping[tuple[AffPerm, AffPerm], LaurentPoly]:
+    """The memo table as a read-only mapping (y, w) -> P_{y,w}, y and w in W'."""
+    return MappingProxyType(_KL)
+
+
 def kl_memo_items() -> list[tuple[int, tuple, tuple, LaurentPoly]]:
-    return [(r, y, w, p) for (r, y, w), p in _KL.items()]
+    """The memo records (r, window of y, window of w, P_{y,w})."""
+    return [(y.r, y.window, w.window, p) for (y, w), p in _KL.items()]
 
 
-def kl_memo_insert(r: int, y: tuple, w: tuple, p: LaurentPoly) -> bool:
-    """Seed the memo table (used by the disk cache); duplicate keys are ignored."""
-    key = (r, tuple(y), tuple(w))
+def kl_memo_insert(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
+    """Seed the memo table with P_{y,w} for y, w in W' (used by the disk cache);
+    duplicate keys are ignored."""
+    key = (y, w)
     if key in _KL:
         return False
     _KL[key] = _intern(p)
@@ -261,7 +274,7 @@ def kl_poly(y: AffPerm, w: AffPerm) -> LaurentPoly:
 
 
 def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
-    key = (y.r, y.window, w.window)
+    key = (y, w)
     hit = _KL.get(key)
     if hit is not None:
         _KL_STATS["hits"] += 1

@@ -4,16 +4,25 @@ One record per line: {"r": 2, "y": [...], "w": [...], "P": {"0": "1"}}.
 Appends are single write() calls of whole lines, so concurrent writers
 interleave at line granularity; loading tolerates duplicates (first record
 wins) and skips corrupt lines with a warning count instead of failing.
+
+A load checks every record before the memo sees it, and counts a record that
+fails as a corrupt line: both windows must build elements of W' (rho-degree
+0), P_{w,w} must be 1, and a nonzero P_{y,w} must be a polynomial in q with
+constant term 1 and t-degree at most l(w) - l(y) - 1.  Whether y <= w holds is
+not checked: that needs the lower ideals.  Each distinct window becomes one
+element and each distinct P one polynomial, shared by every record.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 
 from . import hecke
-from .errors import CacheIoError
-from .laurent import LaurentPoly
+from .affperm import AffPerm
+from .errors import CacheIoError, InvalidWindow
+from .laurent import ONE, LaurentPoly
 
 __all__ = ["KLCache", "scan_stats"]
 
@@ -26,33 +35,33 @@ class KLCache:
         self.loaded = 0
         self.duplicates = 0
         self.corrupt = 0
-        self._persisted: set[tuple] = set()
+        # w -> the y with (y, w) already in the file: the shared elements
+        # themselves, no tuple per record
+        self._persisted: dict[AffPerm, set[AffPerm]] = {}
 
     def load(self) -> "KLCache":
         """Read the file (if present) into the in-memory memo table."""
-        for rec in _records(self.path):
+        for rec in _checked(self.path):
             if rec is None:
                 self.corrupt += 1
                 continue
-            key, poly = rec
-            if hecke.kl_memo_insert(*key, poly):
+            y, w, poly = rec
+            if hecke.kl_memo_insert(y, w, poly):
                 self.loaded += 1
             else:
                 self.duplicates += 1
-            self._persisted.add(key)
+            self._persisted.setdefault(w, set()).add(y)
         return self
 
     def save_new(self) -> int:
         """Append every memo entry computed since the last load/save."""
-        fresh = [
-            (r, y, w, p)
-            for (r, y, w, p) in hecke.kl_memo_items()
-            if (r, y, w) not in self._persisted
-        ]
+        done = self._persisted
+        fresh = [(key, p) for key, p in hecke.kl_memo().items()
+                 if key[0] not in done.get(key[1], ())]
         if not fresh:
             return 0
-        fresh.sort(key=lambda t: (t[0], len(t[2]), t[2], t[1]))
-        lines = _lines(fresh)
+        fresh.sort(key=lambda item: (item[0][1].r, item[0][1].window, item[0][0].window))
+        lines = _lines((w.r, y.window, w.window, p) for (y, w), p in fresh)
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write("".join(lines))
@@ -60,7 +69,8 @@ class KLCache:
                 os.fsync(fh.fileno())
         except OSError as exc:
             raise CacheIoError(f"cannot append to KL cache {self.path}: {exc}") from exc
-        self._persisted.update((r, y, w) for r, y, w, _ in fresh)
+        for (y, w), _ in fresh:
+            done.setdefault(w, set()).add(y)
         return len(fresh)
 
     def stats(self) -> dict:
@@ -88,11 +98,28 @@ def _lines(records) -> list[str]:
     return out
 
 
+# A record as _lines spells it, read without a JSON parse of the whole line;
+# any other spelling of a record goes through json.loads.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_LINE = re.compile(rf'{{"P":({{[^{{}}]*}}),"r":([1-9][0-9]*),'
+                   rf'"w":\[({_INT}(?:,{_INT})*)\],"y":\[({_INT}(?:,{_INT})*)\]}}')
+
+
 def _records(path: str):
     """Yield ((r, y, w), P) for each record of a cache file, None for each
-    corrupt line; a missing file has no records."""
+    corrupt line; r and the window entries are ints, and a missing file has
+    no records.  Each distinct window text and P text is parsed once, into
+    one tuple or polynomial shared by every record that spells it so."""
     if not os.path.exists(path):
         return
+    parsed: dict[str, tuple | LaurentPoly] = {}  # only P texts start with "{"
+
+    def window(text):
+        w = parsed.get(text)
+        if w is None:
+            w = parsed[text] = tuple(map(int, text.split(",")))
+        return w
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -100,15 +127,62 @@ def _records(path: str):
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
-                    key = (rec["r"], tuple(rec["y"]), tuple(rec["w"]))
-                    poly = LaurentPoly.from_json(rec["P"])
-                except (KeyError, TypeError, ValueError):
+                    m = _LINE.fullmatch(line)
+                    if m:
+                        text, r, w, y = m.groups()
+                        key = (int(r), window(y), window(w))
+                        poly = parsed.get(text)
+                        if poly is None:
+                            poly = parsed[text] = LaurentPoly.from_json(json.loads(text))
+                    else:
+                        rec = json.loads(line)
+                        r, y, w = rec["r"], tuple(rec["y"]), tuple(rec["w"])
+                        if not {int}.issuperset(map(type, (r, *y, *w))):
+                            raise TypeError("r and the window entries must be integers")
+                        key = (r, y, w)
+                        poly = LaurentPoly.from_json(rec["P"])
+                except (AttributeError, KeyError, TypeError, ValueError):
                     yield None
                     continue
                 yield key, poly
     except OSError as exc:
         raise CacheIoError(f"cannot read KL cache {path}: {exc}") from exc
+
+
+def _checked(path: str):
+    """Yield (y, w, P) for each record of a cache file that passes the checks
+    in the module docstring, None for each line that is corrupt or fails one.
+    Each distinct window is validated once, into one element."""
+    elements: dict[tuple, AffPerm | None] = {}
+    for rec in _records(path):
+        if rec is not None:
+            (r, y, w), poly = rec
+            y, w = _element(elements, r, y), _element(elements, r, w)
+            if y is not None and w is not None and _plausible(y, w, poly):
+                yield y, w, poly
+                continue
+        yield None
+
+
+def _element(elements: dict, r: int, window: tuple) -> AffPerm | None:
+    """The element of W' with this window, None if there is none; memoized."""
+    key = (r, window)
+    x = elements.get(key, False)
+    if x is False:
+        try:
+            x = AffPerm(r, window)
+        except InvalidWindow:
+            x = None
+        x = elements[key] = x if x is not None and x.omega_degree == 0 else None
+    return x
+
+
+def _plausible(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
+    """The checks on P_{y,w} that need no Bruhat order."""
+    if y is w:
+        return p == ONE
+    return p.is_zero() or (p.coeff(0) == 1 and p.in_q() and p.min_degree() >= 0
+                           and p.degree() <= w.length - y.length - 1)
 
 
 def scan_stats(path: str) -> dict:
@@ -118,13 +192,14 @@ def scan_stats(path: str) -> dict:
     per_r: dict[int, int] = {}
     seen = set()
     duplicates = 0
-    for rec in _records(path):
+    for rec in _checked(path):
         if rec is None:
             corrupt += 1
             continue
-        key, _ = rec
+        y, w, _ = rec
+        key = (y, w)
         records += 1
-        per_r[key[0]] = per_r.get(key[0], 0) + 1
+        per_r[w.r] = per_r.get(w.r, 0) + 1
         if key in seen:
             duplicates += 1
         seen.add(key)

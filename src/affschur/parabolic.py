@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from . import affperm
 from .affperm import AffPerm
 from .errors import InvalidMatrix, PeriodMismatch
+from .interned import Interned
 
 __all__ = [
     "Composition",
@@ -39,9 +40,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Composition:
-    """A periodic composition of r into n nonnegative parts."""
+@dataclass(frozen=True, eq=False, init=False)
+class Composition(Interned):
+    """A periodic composition of r into n nonnegative parts, one object per value."""
 
     n: int
     parts: tuple[int, ...]
@@ -57,7 +58,7 @@ class Composition:
         if sum(self.parts) < 1:
             raise InvalidMatrix("empty compositions (r = 0) are rejected")
 
-    @property
+    @functools.cached_property
     def r(self) -> int:
         return sum(self.parts)
 
@@ -101,11 +102,6 @@ class Composition:
     @staticmethod
     def from_json(obj: dict) -> "Composition":
         return Composition(obj["n"], tuple(obj["parts"]))
-
-
-# One shared Composition per (n, parts): equal matrices (transposes, cache keys)
-# then hold the same row and column sums instead of one copy each.
-_shared_composition = functools.lru_cache(maxsize=None)(Composition)
 
 
 def compositions(n: int, r: int) -> tuple[Composition, ...]:
@@ -190,9 +186,10 @@ def min_double_rep(w: AffPerm, lam: Composition, mu: Composition) -> AffPerm:
     return _walk(w, lam, mu, up=False)
 
 
-@dataclass(frozen=True)
-class PeriodicMatrix:
-    """An n-periodic N-matrix, stored as the strip rows 1..n of nonzero entries."""
+@dataclass(frozen=True, eq=False, init=False)
+class PeriodicMatrix(Interned):
+    """An n-periodic N-matrix, stored as the strip rows 1..n of nonzero entries,
+    one object per value."""
 
     n: int
     entries: tuple[tuple[int, int, int], ...]
@@ -215,8 +212,11 @@ class PeriodicMatrix:
             seen.add((i, j))
         if not ent:
             raise InvalidMatrix("zero matrices (r = 0) are rejected")
-        # r = the sum of the entries, read far more often than a matrix is built
-        object.__setattr__(self, "r", sum(a for _, _, a in ent))
+
+    @functools.cached_property
+    def r(self) -> int:
+        """The sum of the entries."""
+        return sum(a for _, _, a in self.entries)
 
     def entry(self, k: int, l: int) -> int:
         """The entry a_{k,l} for arbitrary k, l in Z, by periodicity."""
@@ -233,17 +233,17 @@ class PeriodicMatrix:
         sums = [0] * self.n
         for i, _, a in self.entries:
             sums[i - 1] += a
-        return _shared_composition(self.n, tuple(sums))
+        return Composition(self.n, tuple(sums))
 
     @functools.cached_property
     def co(self) -> Composition:
         sums = [0] * self.n
         for _, j, a in self.entries:
             sums[(j - 1) % self.n] += a
-        return _shared_composition(self.n, tuple(sums))
+        return Composition(self.n, tuple(sums))
 
     def transpose(self) -> "PeriodicMatrix":
-        """The transpose, built once per instance; transposing it gives back self."""
+        """The transpose, built once per matrix; transposing it gives back self."""
         t = self.__dict__.get("_transpose")
         if t is None:
             ent = []

@@ -10,6 +10,8 @@ import doctest
 import itertools
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,34 @@ def test_copies_are_the_canonical_object():
     w = from_word(3, 1, [0, 2, 1])
     assert copy.copy(w) is w and copy.deepcopy(w) is w
     assert pickle.loads(pickle.dumps(w)) is w
+
+
+def test_threads_building_one_new_element_get_one_object():
+    # 4 threads build the same 20,000 new windows at once under a short switch
+    # interval; a lost race in the intern table would hand two threads
+    # different objects for one element
+    windows = [(1 + 2 * k, 2 - 2 * k) for k in range(10**6, 10**6 + 20_000)]
+    results = [[] for _ in range(4)]
+    start = threading.Barrier(len(results))
+
+    def build(out):
+        start.wait()
+        out.extend(AffPerm(2, w) for w in windows)
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == len(windows) for out in results)
+    for built in zip(*results):
+        assert all(x is built[0] for x in built)
 
 
 @st.composite

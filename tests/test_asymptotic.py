@@ -527,6 +527,11 @@ def test_gamma_refuses_uncertifiable_values():
         gamma_expansion(s0, z, 3)
     with pytest.raises(UncertifiedAValue):
         j_mul(j_elt(s0), j_elt(z), 3)
+    # and so do Lusztig's phi and the Schur Phi, on a term of uncertified a-value
+    with pytest.raises(UncertifiedAValue):
+        lusztig_phi_hecke(z, 1)
+    with pytest.raises(UncertifiedAValue):
+        lusztig_phi_schur(PeriodicMatrix(2, ((1, 1, 1), (1, 2, 1), (2, 2, 1))), 1)
     with pytest.raises(UncertifiedBoundary):
         distinguished_involutions(3, 2)
     # at radius 1 the r = 3 ball still certifies completely

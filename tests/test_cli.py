@@ -316,6 +316,40 @@ def test_cache_cold_then_warm(tmp_path, capsys):
     assert memo["shared_elements"] >= 4
 
 
+# Both halves run in fresh processes, so the memo holds exactly what each
+# computed or loaded.
+_SAVE = """
+import json, sys
+from affschur import affperm, hecke, klcache
+for w in affperm.ball(3, 5):
+    hecke.c_elt(w)
+klcache.KLCache(sys.argv[1]).save_new()
+print(json.dumps(sorted([r, y, w, p.to_json()] for r, y, w, p in hecke.kl_memo_items())))
+"""
+_LOAD = """
+import json, sys
+from affschur import affperm, hecke, klcache
+from affschur.affperm import AffPerm
+cache = klcache.KLCache(sys.argv[1]).load()
+items = sorted([r, y, w, p.to_json()] for r, y, w, p in hecke.kl_memo_items())
+canonical = all(AffPerm(x.r, x.window) is x for key in hecke.kl_memo() for x in key)
+for w in affperm.ball(3, 5):
+    hecke.c_elt(w)
+print(json.dumps([items, canonical, cache.corrupt, hecke.kl_memo_stats()["computed"]]))
+"""
+
+
+def test_saved_memo_loads_back_record_for_record(tmp_path):
+    path = str(tmp_path / "kl.jsonl")
+    saved = subprocess.run([sys.executable, "-c", _SAVE, path], capture_output=True, text=True)
+    assert saved.returncode == 0, saved.stderr
+    loaded = subprocess.run([sys.executable, "-c", _LOAD, path], capture_output=True, text=True)
+    assert loaded.returncode == 0, loaded.stderr
+    items, canonical, corrupt, computed = json.loads(loaded.stdout)
+    assert items == json.loads(saved.stdout) and len(items) > 700
+    assert canonical and corrupt == 0 and computed == 0
+
+
 @st.composite
 def cache_records(draw):
     # a few polynomials shared by many records, as in a real memo: the zero
@@ -367,9 +401,10 @@ def test_cache_truncated_line_and_stats(tmp_path, capsys):
     assert loaded.corrupt == 1
 
 
-def test_kl_invariant_failure_exits_verify(tmp_path):
-    # P_{e,w} = 1 + q^2 breaks the degree bound of the recursion above it; the
-    # record goes into the memo table, so run in a fresh process
+def test_cache_record_breaking_the_degree_bound_is_rejected(tmp_path):
+    # P_{e,w} = 1 + q^2 breaks the degree bound; the load rejects the record,
+    # counts it, and the recursion computes the true P (fresh process: the
+    # memo table is process-wide)
     path = tmp_path / "kl.jsonl"
     path.write_text('{"r":2,"y":[1,2],"w":[3,0],"P":{"0":"1","4":"1"}}\n')
     proc = subprocess.run(
@@ -378,8 +413,63 @@ def test_kl_invariant_failure_exits_verify(tmp_path):
         capture_output=True,
         text=True,
     )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["P"] == {"0": "1"}
+    stats = json.loads(proc.stderr.strip().splitlines()[-1])["cache"]
+    assert (stats["loaded"], stats["corrupt_lines_skipped"]) == (0, 1)
+    assert stats["memo"]["computed"] > 0
+
+
+# A bad value put straight into the memo table, past the cache checks.
+_BAD_MEMO = """
+import sys
+from affschur import cli, hecke
+from affschur.affperm import AffPerm
+from affschur.laurent import LaurentPoly
+hecke.kl_memo_insert(AffPerm(2, (1, 2)), AffPerm(2, (3, 0)), LaurentPoly({0: 1, 4: 1}))
+sys.exit(cli.main(["klpoly", "--r", "2", "--y", "1,2", "--w", "1,0,1"]))
+"""
+
+
+def test_kl_invariant_failure_exits_verify():
+    proc = subprocess.run([sys.executable, "-c", _BAD_MEMO], capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
     assert "degree bounds" in proc.stderr and "Traceback" not in proc.stderr
+
+
+_BAD_RECORDS = [
+    '{"P":{"0":"5"},"r":2,"w":[0,3],"y":[0,3]}',  # P_{w,w} != 1
+    '{"P":{"0":"1"},"r":2,"w":[1,1],"y":[1,1]}',  # repeats a residue
+    '{"P":{"1":"1"},"r":2,"w":[0,3],"y":[1,2]}',  # odd exponent, P(0) != 1
+    '{"P":{"0":"1"},"r":2,"w":[1,4],"y":[1,2]}',  # rho-degree 1
+    '{"P":{"0":"2"},"r":2,"w":[0,3],"y":[1,2]}',  # constant term 2
+    '{"P":{"-2":"1","0":"1"},"r":2,"w":[3,0],"y":[1,2]}',  # negative exponent
+    '{"P":{"0":"1","2":"1"},"r":2,"w":[0,3],"y":[1,2]}',  # degree above l(w)-l(y)-1
+    '{"P":{"0":"1"},"r":2,"w":[0,3],"y":[1,2],"x":1',  # truncated
+    '{"P":[1],"r":2,"w":[0,3],"y":[1,2]}',  # P not an object
+    '{"P":{"0":"1"},"r":2,"w":[0,3],"y":[1.0,2]}',  # float entry
+    '{"P":{"0":"1"},"r":true,"w":[0,3],"y":[1,2]}',  # boolean period
+    '{"P":{"0":"1"},"r":3,"w":[0,3],"y":[1,2]}',  # period differs from the window
+]
+_GOOD_RECORDS = [
+    '{"P":{"0":"1"},"r":2,"w":[0,3],"y":[0,3]}',
+    '{"P":{"0":"1"},"r":2,"w":[0,3],"y":[1,2]}',
+    '{"r": 2, "y": [1, 2], "w": [3, 0], "P": {"0": "1"}}',  # another JSON spelling
+    '{"P":{},"r":2,"w":[0,3],"y":[-1,4]}',  # zero records stay
+]
+
+
+def test_cache_load_rejects_implausible_records(tmp_path, capsys):
+    path = tmp_path / "kl.jsonl"
+    path.write_text("\n".join(_BAD_RECORDS + _GOOD_RECORDS) + "\n")
+    stats = scan_stats(str(path))
+    assert (stats["records"], stats["corrupt_lines_skipped"]) == (4, len(_BAD_RECORDS))
+    code, out, err = run_cli(capsys, "klpoly", "--cache", str(path),
+                             "--y", '{"r":2,"window":[0,3]}', "--w", '{"r":2,"window":[0,3]}')
+    assert code == 0 and json.loads(out)["P"] == {"0": "1"}
+    cache = json.loads(err.strip().splitlines()[-1])["cache"]
+    assert cache["corrupt_lines_skipped"] == len(_BAD_RECORDS)
+    assert cache["loaded"] + cache["duplicates"] == 4
 
 
 def test_console_entrypoint_runs():

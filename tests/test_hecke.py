@@ -173,6 +173,8 @@ def test_memo_values_and_ideal_elements_are_shared():
     _assert_shared(c for w in ws for c in c_elt(w).terms.values())
     ideals = [affperm.bruhat_lower(w) for w in ws]
     _assert_shared(y for ideal in ideals for y in ideal)
+    assert all(h_bar(c_elt(w)) == c_elt(w) for w in ws)
+    _assert_shared(c for bar in hecke._BAR.values() for c in bar.terms.values())
     stats = hecke.kl_memo_stats()
     assert stats["distinct_polys"] < 20 < stats["entries"]
     assert stats["shared_elements"] >= len(ws)

@@ -1,6 +1,8 @@
 """Tests for compositions, double cosets, and the matrix bijection."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -278,3 +280,36 @@ def test_matrix_json_roundtrip():
     assert PeriodicMatrix.from_json(A.to_json()) == A
     with pytest.raises(InvalidMatrix):
         PeriodicMatrix.from_json({"n": 2, "r": 5, "entries": [[1, 0, 1]]})
+
+
+@st.composite
+def periodic_matrices(draw):
+    """A valid n-periodic matrix, n in 1..3, and its entries in a drawn order."""
+    n = draw(st.integers(1, 3))
+    cells = st.tuples(st.integers(1, n), st.integers(-4, 4))
+    strip = draw(st.dictionaries(cells, st.integers(1, 3), min_size=1, max_size=5))
+    entries = draw(st.permutations([(i, j, a) for (i, j), a in strip.items()]))
+    return n, entries
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(periodic_matrices())
+def test_equal_matrices_and_compositions_are_one_object(case):
+    # every construction path returns the canonical object, whose hash is that
+    # of the field tuple: the stored hash keeps set and dict iteration order
+    n, entries = case
+    A = PeriodicMatrix(n, entries)
+    assert PeriodicMatrix(n, sorted(entries)) is A
+    assert PeriodicMatrix(n, [list(e) for e in reversed(entries)]) is A
+    assert hash(A) == hash((n, A.entries))
+    At = A.transpose()
+    assert PeriodicMatrix(n, At.entries) is At and At.transpose() is A
+    assert PeriodicMatrix.from_json(A.to_json()) is A
+    assert copy.deepcopy(A) is A and pickle.loads(pickle.dumps(A)) is A
+    assert matrix_of(A.ro, min_rep(A), A.co) is A
+    for lam in (A.ro, A.co):
+        assert Composition(n, list(lam.parts)) is lam
+        assert hash(lam) == hash((n, lam.parts))
+        assert Composition.from_json(lam.to_json()) is lam
+        assert copy.deepcopy(lam) is lam and pickle.loads(pickle.dumps(lam)) is lam
+    assert At.ro is A.co and At.co is A.ro

@@ -24,6 +24,7 @@ from .errors import IndexOutOfRange, InvalidWindow, PeriodMismatch
 from .interned import Interned
 
 __all__ = [
+    "MAX_PERIOD",
     "AffPerm",
     "identity",
     "generator",
@@ -34,6 +35,12 @@ __all__ = [
     "bruhat_lower",
     "rho_conjugate",
 ]
+
+# The largest period r that parsed input (a CLI argument or a KL-cache record)
+# may have.  AffPerm.length is quadratic in r, so without a bound the 23-byte
+# argument {"r":1000000,"word":[]} would ask for hours of work; every
+# computation here is practical only for small r.
+MAX_PERIOD = 256
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import affperm, asymptotic, hecke, klcache, parabolic, schur, verify
-from .affperm import AffPerm
+from .affperm import MAX_PERIOD, AffPerm
 from .errors import (
     AffschurError,
     CacheIoError,
@@ -38,10 +38,6 @@ EXIT_UNCERTIFIED = 4
 
 ENV_PREFIX = "AFFSCHUR_"
 
-# The largest period r a parsed element may have.  AffPerm.length is quadratic
-# in r, so without a bound the 23-byte argument {"r":1000000,"word":[]} would
-# ask for hours of work; every computation here is practical only for small r.
-MAX_PERIOD = 256
 DEFAULTS = {"r": None, "n": None, "L": 4, "omega_window": None, "cache": None,
             "format": "json"}
 FORMATS = ("json", "csv", "pretty")

@@ -71,7 +71,6 @@ __all__ = [
     "is_in_H_IJ",
     "kl_memo_stats",
     "kl_memo",
-    "kl_memo_items",
     "kl_memo_insert",
 ]
 
@@ -244,11 +243,6 @@ def kl_memo_stats() -> dict:
 def kl_memo() -> Mapping[tuple[AffPerm, AffPerm], LaurentPoly]:
     """The memo table as a read-only mapping (y, w) -> P_{y,w}, y and w in W'."""
     return MappingProxyType(_KL)
-
-
-def kl_memo_items() -> list[tuple[int, tuple, tuple, LaurentPoly]]:
-    """The memo records (r, window of y, window of w, P_{y,w})."""
-    return [(y.r, y.window, w.window, p) for (y, w), p in _KL.items()]
 
 
 def kl_memo_insert(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:

@@ -8,19 +8,19 @@ wins) and skips corrupt lines with a warning count instead of failing.
 A load checks every record before the memo sees it, and counts a record that
 fails as a corrupt line: both windows must build elements of W' (rho-degree
 0), P_{w,w} must be 1, and a nonzero P_{y,w} must be a polynomial in q with
-constant term 1 and t-degree at most l(w) - l(y) - 1.  Whether y <= w holds is
-not checked: that needs the lower ideals.  Each distinct window becomes one
-element and each distinct P one polynomial, shared by every record.
+constant term 1 and t-degree at most l(w) - l(y) - 1, and r may be at most
+MAX_PERIOD.  Whether y <= w holds is not checked: that needs the lower ideals.
+Each distinct window is validated once, into one element, and each distinct P
+is parsed once, into one polynomial, shared by every record.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 
 from . import hecke
-from .affperm import AffPerm
+from .affperm import MAX_PERIOD, AffPerm
 from .errors import CacheIoError, InvalidWindow
 from .laurent import ONE, LaurentPoly
 
@@ -98,28 +98,13 @@ def _lines(records) -> list[str]:
     return out
 
 
-# A record as _lines spells it, read without a JSON parse of the whole line;
-# any other spelling of a record goes through json.loads.
-_INT = r"-?(?:0|[1-9][0-9]*)"
-_LINE = re.compile(rf'{{"P":({{[^{{}}]*}}),"r":([1-9][0-9]*),'
-                   rf'"w":\[({_INT}(?:,{_INT})*)\],"y":\[({_INT}(?:,{_INT})*)\]}}')
-
-
 def _records(path: str):
     """Yield ((r, y, w), P) for each record of a cache file, None for each
     corrupt line; r and the window entries are ints, and a missing file has
-    no records.  Each distinct window text and P text is parsed once, into
-    one tuple or polynomial shared by every record that spells it so."""
+    no records.  Records whose P has the same items share one polynomial."""
     if not os.path.exists(path):
         return
-    parsed: dict[str, tuple | LaurentPoly] = {}  # only P texts start with "{"
-
-    def window(text):
-        w = parsed.get(text)
-        if w is None:
-            w = parsed[text] = tuple(map(int, text.split(",")))
-        return w
-
+    polys: dict[tuple, LaurentPoly] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -127,24 +112,18 @@ def _records(path: str):
                 if not line:
                     continue
                 try:
-                    m = _LINE.fullmatch(line)
-                    if m:
-                        text, r, w, y = m.groups()
-                        key = (int(r), window(y), window(w))
-                        poly = parsed.get(text)
-                        if poly is None:
-                            poly = parsed[text] = LaurentPoly.from_json(json.loads(text))
-                    else:
-                        rec = json.loads(line)
-                        r, y, w = rec["r"], tuple(rec["y"]), tuple(rec["w"])
-                        if not {int}.issuperset(map(type, (r, *y, *w))):
-                            raise TypeError("r and the window entries must be integers")
-                        key = (r, y, w)
-                        poly = LaurentPoly.from_json(rec["P"])
+                    rec = json.loads(line)
+                    r, y, w = rec["r"], tuple(rec["y"]), tuple(rec["w"])
+                    if not {int}.issuperset(map(type, (r, *y, *w))):
+                        raise TypeError("r and the window entries must be integers")
+                    key = tuple(rec["P"].items())
+                    poly = polys.get(key)
+                    if poly is None:
+                        poly = polys[key] = LaurentPoly.from_json(rec["P"])
                 except (AttributeError, KeyError, TypeError, ValueError):
                     yield None
                     continue
-                yield key, poly
+                yield (r, y, w), poly
     except OSError as exc:
         raise CacheIoError(f"cannot read KL cache {path}: {exc}") from exc
 
@@ -165,15 +144,20 @@ def _checked(path: str):
 
 
 def _element(elements: dict, r: int, window: tuple) -> AffPerm | None:
-    """The element of W' with this window, None if there is none; memoized."""
+    """The element of W' with this window, None if there is none or r is above
+    MAX_PERIOD; memoized.  Only a window of rho-degree 0 reaches the interning
+    constructor: a valid window has rho-degree 0 exactly when its entries sum
+    to 1 + ... + r."""
     key = (r, window)
     x = elements.get(key, False)
     if x is False:
-        try:
-            x = AffPerm(r, window)
-        except InvalidWindow:
-            x = None
-        x = elements[key] = x if x is not None and x.omega_degree == 0 else None
+        x = None
+        if r <= MAX_PERIOD and sum(window) == r * (r + 1) // 2:
+            try:
+                x = AffPerm(r, window)
+            except InvalidWindow:
+                pass
+        elements[key] = x
     return x
 
 
@@ -186,7 +170,9 @@ def _plausible(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
 
 
 def scan_stats(path: str) -> dict:
-    """Inspect a cache file without touching the in-memory table."""
+    """Inspect a cache file without touching the in-memory KL memo.  Like a
+    load, it builds each valid element of the file, and elements are interned
+    for the life of the process."""
     records = 0
     corrupt = 0
     per_r: dict[int, int] = {}

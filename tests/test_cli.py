@@ -324,14 +324,14 @@ from affschur import affperm, hecke, klcache
 for w in affperm.ball(3, 5):
     hecke.c_elt(w)
 klcache.KLCache(sys.argv[1]).save_new()
-print(json.dumps(sorted([r, y, w, p.to_json()] for r, y, w, p in hecke.kl_memo_items())))
+print(json.dumps(sorted([w.r, y.window, w.window, p.to_json()] for (y, w), p in hecke.kl_memo().items())))
 """
 _LOAD = """
 import json, sys
 from affschur import affperm, hecke, klcache
 from affschur.affperm import AffPerm
 cache = klcache.KLCache(sys.argv[1]).load()
-items = sorted([r, y, w, p.to_json()] for r, y, w, p in hecke.kl_memo_items())
+items = sorted([w.r, y.window, w.window, p.to_json()] for (y, w), p in hecke.kl_memo().items())
 canonical = all(AffPerm(x.r, x.window) is x for key in hecke.kl_memo() for x in key)
 for w in affperm.ball(3, 5):
     hecke.c_elt(w)
@@ -450,6 +450,9 @@ _BAD_RECORDS = [
     '{"P":{"0":"1"},"r":2,"w":[0,3],"y":[1.0,2]}',  # float entry
     '{"P":{"0":"1"},"r":true,"w":[0,3],"y":[1,2]}',  # boolean period
     '{"P":{"0":"1"},"r":3,"w":[0,3],"y":[1,2]}',  # period differs from the window
+    # a valid pair in W' whose period is above MAX_PERIOD: l(w) would cost O(r^2)
+    f'{{"P":{{"0":"1"}},"r":{MAX_PERIOD + 1},"w":{[2, 1, *range(3, MAX_PERIOD + 2)]},'
+    f'"y":{list(range(1, MAX_PERIOD + 2))}}}'.replace(" ", ""),
 ]
 _GOOD_RECORDS = [
     '{"P":{"0":"1"},"r":2,"w":[0,3],"y":[0,3]}',

@@ -169,7 +169,7 @@ def test_memo_values_and_ideal_elements_are_shared():
     ws = ball(3, 6)
     for w in ws:
         c_elt(w)
-    _assert_shared(p for _, _, _, p in hecke.kl_memo_items())
+    _assert_shared(hecke.kl_memo().values())
     _assert_shared(c for w in ws for c in c_elt(w).terms.values())
     ideals = [affperm.bruhat_lower(w) for w in ws]
     _assert_shared(y for ideal in ideals for y in ideal)
@@ -183,14 +183,14 @@ def test_memo_values_and_ideal_elements_are_shared():
 def test_arithmetic_leaves_shared_memo_values_unchanged():
     w = from_word(3, 0, [0, 1, 2, 0])
     assert kl_poly(identity(3), w) == 1 + Q
-    records = {(r, y, v): p.to_json() for r, y, v, p in hecke.kl_memo_items()}
+    records = {key: p.to_json() for key, p in hecke.kl_memo().items()}
     p = kl_poly(identity(3), w)
     c = c_elt(w)
     results = [p + p, p - 1, 1 - p, -p, p * Q, 3 * p, p**2, p.bar(), p.neg_t(),
                c + c, c - c, c.scale(T), h_bar(c), t_to_c(c), j_inv(c), c_to_t(t_to_c(c))]
     assert results[0] == 2 + 2 * Q and h_bar(c) == c
     assert kl_poly(identity(3), w) is p and p == 1 + Q
-    assert {(r, y, v): p.to_json() for r, y, v, p in hecke.kl_memo_items()} == records
+    assert {key: p.to_json() for key, p in hecke.kl_memo().items()} == records
 
 
 @st.composite
@@ -454,12 +454,13 @@ def test_is_in_H_IJ_r3_plus_reps():
 _GOLDEN_MEMO = """
 import hashlib, json
 from affschur.affperm import ball
-from affschur.hecke import c_elt, kl_memo_items
+from affschur.hecke import c_elt, kl_memo
 for r, L in ((3, 7), (4, 5)):
     for w in ball(r, L):
         c_elt(w)
 h = hashlib.sha256()
-items = sorted(kl_memo_items(), key=lambda t: t[:3])
+items = sorted(((w.r, y.window, w.window, p) for (y, w), p in kl_memo().items()),
+               key=lambda t: t[:3])
 for r, y, w, p in items:
     rec = {"r": r, "y": list(y), "w": list(w), "P": p.to_json()}
     h.update((json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\\n").encode())

@@ -25,6 +25,7 @@ from .interned import Interned
 
 __all__ = [
     "MAX_PERIOD",
+    "MAX_THETA_WINDOW",
     "AffPerm",
     "identity",
     "generator",
@@ -41,6 +42,12 @@ __all__ = [
 # argument {"r":1000000,"word":[]} would ask for hours of work; every
 # computation here is practical only for small r.
 MAX_PERIOD = 256
+# The largest matrix window that a command may enumerate, counted as pairs of
+# compositions times rho-powers: C(n + r - 1, r)^2 * (hi - lo + 1).  Every
+# window in the tests, the README and the benchmark lies far below it (the
+# (4,2) Q-suite over rho-powers -2..2 counts 500); without it `--n 100000` or a
+# 200,001-wide rho-window would run for hours.
+MAX_THETA_WINDOW = 10_000
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import affperm, asymptotic, hecke, klcache, parabolic, schur, verify
-from .affperm import MAX_PERIOD, AffPerm
+from .affperm import MAX_PERIOD, MAX_THETA_WINDOW, AffPerm
 from .errors import (
     AffschurError,
     CacheIoError,
@@ -92,6 +93,22 @@ def _check_period(r) -> None:
         raise ValueError(f"period {r!r} is not an integer")
     if r > MAX_PERIOD:
         raise ValueError(f"period r={r} exceeds the supported maximum {MAX_PERIOD}")
+
+
+def _theta_window(cfg) -> tuple:
+    """(n, r, L, omega window) of a command that enumerates a matrix window, checked
+    before it enumerates: C(n + r - 1, r)^2 composition pairs times the rho-powers
+    may be at most MAX_THETA_WINDOW.  C(n + r - 1, r) >= n, so a large n is
+    refused before the binomial is computed."""
+    _require(cfg, "n", "r")
+    n, r, omega = cfg["n"], cfg["r"], cfg["omega_window"]
+    lo, hi = omega or (-r, r)
+    if n >= 1 and r >= 1 and (n > MAX_THETA_WINDOW or
+                              math.comb(n + r - 1, r) ** 2 * (hi - lo + 1) > MAX_THETA_WINDOW):
+        raise ValueError(f"the window of n={n}, r={r} over rho-powers {lo}:{hi} exceeds the "
+                         f"supported maximum {MAX_THETA_WINDOW} (composition pairs times "
+                         "rho-powers)")
+    return n, r, cfg["L"], omega
 
 
 def _from_json(build, spec: str):
@@ -314,7 +331,7 @@ def cmd_gamma(args, cfg) -> dict:
 def cmd_dinv(args, cfg) -> dict:
     _require(cfg, "r")
     if cfg["n"] is not None:
-        dd = asymptotic.dinv_schur(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"])
+        dd = asymptotic.dinv_schur(*_theta_window(cfg))
         found = {"matrices": [[list(e) for e in A.entries] for A in dd]}
     else:
         dd = asymptotic.distinguished_involutions(cfg["r"], cfg["L"])
@@ -341,19 +358,16 @@ def cmd_cells(args, cfg) -> dict:
     if args.hecke:
         elems = list(affperm.ball(cfg["r"], cfg["L"]))
     else:
-        _require(cfg, "n")
-        elems = list(parabolic.enumerate_theta(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"]))
+        elems = list(parabolic.enumerate_theta(*_theta_window(cfg)))
     return asymptotic.cell_preorder(elems, args.flavor).to_json()
 
 
 def cmd_lowest_cell(args, cfg) -> dict:
-    _require(cfg, "n", "r")
-    return asymptotic.lowest_cell(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"]).to_json()
+    return asymptotic.lowest_cell(*_theta_window(cfg)).to_json()
 
 
 def cmd_qsuite(args, cfg) -> dict:
-    _require(cfg, "n", "r")
-    return asymptotic.q_suite(cfg["n"], cfg["r"], cfg["L"], cfg["omega_window"])
+    return asymptotic.q_suite(*_theta_window(cfg))
 
 
 def cmd_verify(args, cfg) -> dict:

@@ -18,10 +18,12 @@ recursion: pick the lowest-index left descent s of w, combine P_{sy,sw} and
 P_{y,sw}, and subtract mu(z, sw) P_{y,z} over z with sz < z and y <= z.  One
 list per w, of the nonzero mu(z, w) with z < w and l(w) - l(z) odd, feeds
 both this recursion and the C-basis product below; the recursion's Bruhat
-tests are lookups in the cached lower ideals.  The memo table is keyed by
-pairs of elements of W' after splitting off the rho-power (P is invariant
-under a common rho twist).  Correctness is not taken on faith: the acceptance
-suite re-derives bar(C_w) = C_w and the degree bounds over whole balls.
+tests are lookups in the cached lower ideals.  The memo table holds one row
+per w, mapping each y to P_{y,w}, as du Cloux keeps KL data per w over the
+elements below it; no pair (y, w) is stored.  Its y and w lie in W', the
+rho-power split off (P is invariant under a common rho twist).  Correctness
+is not taken on faith: the acceptance suite re-derives bar(C_w) = C_w and the
+degree bounds over whole balls.
 
 Structure constants are computed in the C-basis through the W-graph, never
 through the T-basis.  For s a simple reflection, C_s C_w = (t + 1/t) C_w when
@@ -39,9 +41,9 @@ Polynomials in q are represented in t with even exponents throughout.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from . import affperm
 from .affperm import AffPerm, bruhat_lower
@@ -223,7 +225,9 @@ def h_bar(a: HeckeElt) -> HeckeElt:
 # ---------------------------------------------------------------------------
 # Kazhdan-Lusztig polynomials
 
-_KL: dict[tuple[AffPerm, AffPerm], LaurentPoly] = {}
+# One row per w: _KL[w][y] = P_{y,w}.  A row is created with setdefault and
+# an entry stored with setdefault, so threads sharing the memo lose nothing.
+_KL: dict[AffPerm, dict[AffPerm, LaurentPoly]] = {}
 _KL_STATS = {"hits": 0, "computed": 0, "loaded": 0}
 # One object per distinct memo value (most records are 0, 1 or 1 + q), and one
 # per coefficient t^{-l} P of C_w; LaurentPoly values are never mutated in place.
@@ -235,23 +239,49 @@ def _intern(p: LaurentPoly) -> LaurentPoly:
     return _POLYS.setdefault(p, p)
 
 
+def _row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
+    return _KL.get(w) or _KL.setdefault(w, {})
+
+
+class _MemoView(Mapping):
+    """The memo table read-only, as a mapping (y, w) -> P_{y,w}; rows() walks
+    it one w at a time without building pairs.  The walks copy the keys first,
+    so another thread may insert meanwhile."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        y, w = key
+        return _KL[w][y]
+
+    def __iter__(self):
+        return ((y, w) for w, row in list(_KL.items()) for y in list(row))
+
+    def __len__(self) -> int:
+        return sum(map(len, list(_KL.values())))
+
+    def rows(self):
+        """Yield (w, read-only row y -> P_{y,w}) for each w with a row."""
+        return ((w, MappingProxyType(row)) for w, row in list(_KL.items()))
+
+
 def kl_memo_stats() -> dict:
-    return dict(_KL_STATS, entries=len(_KL), distinct_polys=len(_POLYS),
+    return dict(_KL_STATS, entries=len(kl_memo()), distinct_polys=len(_POLYS),
                 shared_elements=affperm.shared_elements())
 
 
-def kl_memo() -> Mapping[tuple[AffPerm, AffPerm], LaurentPoly]:
+def kl_memo() -> _MemoView:
     """The memo table as a read-only mapping (y, w) -> P_{y,w}, y and w in W'."""
-    return MappingProxyType(_KL)
+    return _MemoView()
 
 
 def kl_memo_insert(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
     """Seed the memo table with P_{y,w} for y, w in W' (used by the disk cache);
     duplicate keys are ignored."""
-    key = (y, w)
-    if key in _KL:
+    row = _row(w)
+    if y in row:
         return False
-    _KL[key] = _intern(p)
+    row.setdefault(y, _intern(p))
     _KL_STATS["loaded"] += 1
     return True
 
@@ -268,8 +298,8 @@ def kl_poly(y: AffPerm, w: AffPerm) -> LaurentPoly:
 
 
 def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
-    key = (y, w)
-    hit = _KL.get(key)
+    row = _KL.get(w)
+    hit = row.get(y) if row is not None else None
     if hit is not None:
         _KL_STATS["hits"] += 1
         return hit
@@ -293,8 +323,8 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
         if not val.in_q() or val.min_degree() < 0 or (
             val.degree() > w.length - y.length - 1
         ):
-            raise KLInvariantViolation(f"KL recursion violated degree bounds at {key}: {val!r}")
-    val = _KL[key] = _intern(val)
+            raise KLInvariantViolation(f"KL recursion violated degree bounds at {(y, w)}: {val!r}")
+    val = _row(w).setdefault(y, _intern(val))
     _KL_STATS["computed"] += 1
     return val
 

@@ -1,9 +1,11 @@
 """JSON-lines persistence for the Kazhdan-Lusztig memo table.
 
 One record per line: {"r": 2, "y": [...], "w": [...], "P": {"0": "1"}}.
-Appends are single write() calls of whole lines, so concurrent writers
-interleave at line granularity; loading tolerates duplicates (first record
-wins) and skips corrupt lines with a warning count instead of failing.
+A save streams the memo one row (one w) at a time and appends each row's
+lines with one write() to an unbuffered file opened for appending, so every
+write carries whole lines and concurrent writers interleave whole rows;
+loading tolerates duplicates (first record wins) and skips corrupt lines with
+a warning count instead of failing.
 
 A load checks every record before the memo sees it, and counts a record that
 fails as a corrupt line: both windows must build elements of W' (rho-degree
@@ -11,7 +13,8 @@ fails as a corrupt line: both windows must build elements of W' (rho-degree
 constant term 1 and t-degree at most l(w) - l(y) - 1, and r may be at most
 MAX_PERIOD.  Whether y <= w holds is not checked: that needs the lower ideals.
 Each distinct window is validated once, into one element, and each distinct P
-is parsed once, into one polynomial, shared by every record.
+is parsed and checked once, into one polynomial, shared by every record; only
+P_{w,w} = 1 and the degree bound are checked per record.
 """
 
 from __future__ import annotations
@@ -54,24 +57,33 @@ class KLCache:
         return self
 
     def save_new(self) -> int:
-        """Append every memo entry computed since the last load/save."""
+        """Append every memo entry computed since the last load/save, in
+        (r, w, y) order; a save with nothing fresh opens no file."""
         done = self._persisted
-        fresh = [(key, p) for key, p in hecke.kl_memo().items()
-                 if key[0] not in done.get(key[1], ())]
-        if not fresh:
-            return 0
-        fresh.sort(key=lambda item: (item[0][1].r, item[0][1].window, item[0][0].window))
-        lines = _lines((w.r, y.window, w.window, p) for (y, w), p in fresh)
+        rows = sorted(hecke.kl_memo().rows(), key=lambda item: (item[0].r, item[0].window))
+        written = 0
+        fh = None
         try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("".join(lines))
-                fh.flush()
+            for w, row in rows:
+                seen = done.get(w, ())
+                fresh = sorted((y for y in row if y not in seen), key=lambda y: y.window)
+                if not fresh:
+                    continue
+                chunk = "".join(_lines((w.r, y.window, w.window, row[y]) for y in fresh)).encode()
+                if fh is None:
+                    fh = open(self.path, "ab", buffering=0)
+                if fh.write(chunk) != len(chunk):
+                    raise OSError("short write")
+                done.setdefault(w, set()).update(fresh)
+                written += len(fresh)
+            if fh is not None:
                 os.fsync(fh.fileno())
         except OSError as exc:
             raise CacheIoError(f"cannot append to KL cache {self.path}: {exc}") from exc
-        for (y, w), _ in fresh:
-            done.setdefault(w, set()).add(y)
-        return len(fresh)
+        finally:
+            if fh is not None:
+                fh.close()
+        return written
 
     def stats(self) -> dict:
         return {
@@ -131,15 +143,22 @@ def _records(path: str):
 def _checked(path: str):
     """Yield (y, w, P) for each record of a cache file that passes the checks
     in the module docstring, None for each line that is corrupt or fails one.
-    Each distinct window is validated once, into one element."""
+    Each distinct window is validated once, into one element, and the checks
+    that read P alone run once per distinct P."""
     elements: dict[tuple, AffPerm | None] = {}
+    # keyed by id: _records gives equal P one object, alive while it reads
+    shaped: dict[int, bool] = {}
     for rec in _records(path):
         if rec is not None:
             (r, y, w), poly = rec
             y, w = _element(elements, r, y), _element(elements, r, w)
-            if y is not None and w is not None and _plausible(y, w, poly):
-                yield y, w, poly
-                continue
+            if y is not None and w is not None:
+                ok = shaped.get(id(poly))
+                if ok is None:
+                    ok = shaped[id(poly)] = _shaped(poly)
+                if _plausible(y, w, poly, ok):
+                    yield y, w, poly
+                    continue
         yield None
 
 
@@ -161,12 +180,16 @@ def _element(elements: dict, r: int, window: tuple) -> AffPerm | None:
     return x
 
 
-def _plausible(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
-    """The checks on P_{y,w} that need no Bruhat order."""
+def _shaped(p: LaurentPoly) -> bool:
+    """The checks on P alone: zero, or a polynomial in q with constant term 1."""
+    return p.is_zero() or (p.coeff(0) == 1 and p.in_q() and p.min_degree() >= 0)
+
+
+def _plausible(y: AffPerm, w: AffPerm, p: LaurentPoly, shaped: bool) -> bool:
+    """The checks on P_{y,w} that need no Bruhat order, given _shaped(p)."""
     if y is w:
         return p == ONE
-    return p.is_zero() or (p.coeff(0) == 1 and p.in_q() and p.min_degree() >= 0
-                           and p.degree() <= w.length - y.length - 1)
+    return shaped and p.degree() <= w.length - y.length - 1
 
 
 def scan_stats(path: str) -> dict:

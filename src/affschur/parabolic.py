@@ -105,18 +105,19 @@ class Composition(Interned):
 
 
 def compositions(n: int, r: int) -> tuple[Composition, ...]:
-    """All compositions of r into n nonnegative parts, lexicographically."""
+    """All compositions of r into n nonnegative parts, lexicographically.
+
+    Stars and bars: the n - 1 bars sit at increasing positions among r + n - 1
+    slots, and combinations come in lexicographic order of the bar positions,
+    which is the lexicographic order of the parts.
+    """
     if n < 1:
         raise InvalidMatrix(f"compositions need n >= 1 parts, got n={n}")
     out = []
-    def rec(prefix, rem, slots):
-        if slots == 1:
-            out.append(Composition(n, tuple(prefix) + (rem,)))
-            return
-        for p in range(rem + 1):
-            rec(prefix + [p], rem - p, slots - 1)
-    rec([], r, n)
-    return tuple(sorted(out, key=lambda c: c.parts))
+    for bars in itertools.combinations(range(r + n - 1), n - 1):
+        cuts = (-1, *bars, r + n - 1)
+        out.append(Composition(n, tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)

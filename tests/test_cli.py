@@ -13,8 +13,8 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from affschur import affperm, asymptotic, hecke, klcache, parabolic
-from affschur.affperm import from_word
+from affschur import affperm, asymptotic, cli, hecke, klcache, parabolic
+from affschur.affperm import MAX_THETA_WINDOW, from_word
 from affschur.cli import MAX_PERIOD, main
 from affschur.parabolic import compositions, matrix_of
 from affschur.klcache import KLCache, scan_stats
@@ -217,6 +217,37 @@ def test_enumeration_period_above_bound_is_input_error(capsys, monkeypatch, argv
 
 
 @pytest.mark.parametrize("argv", [
+    ("lowest-cell", "--n", "100000", "--r", "2", "--L", "1"),
+    ("cells", "--n", "2", "--r", "2", "--L", "1", "--omega-window=-100000:100000"),
+])
+def test_enumeration_window_above_bound_is_input_error(argv):
+    # refused before anything is enumerated, so each exits within seconds
+    proc = subprocess.run([sys.executable, "-m", "affschur.cli", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("input error:") and proc.stderr.count("\n") == 1
+    assert f"exceeds the supported maximum {MAX_THETA_WINDOW}" in proc.stderr
+
+
+@pytest.mark.parametrize("n,r,window,inside", [
+    (4, 2, None, True),  # the (4,2) Q-suite over rho-powers -2..2: 500
+    (3, 3, None, True),  # 700
+    (2, 2, (-2, 2), True),
+    (1, 2, (0, MAX_THETA_WINDOW - 1), True),
+    (1, 2, (0, MAX_THETA_WINDOW), False),
+    (MAX_THETA_WINDOW + 1, 1, (0, 0), False),
+    (10**100, MAX_PERIOD, None, False),
+])
+def test_enumeration_window_bound(n, r, window, inside):
+    cfg = {"n": n, "r": r, "L": 1, "omega_window": window}
+    if inside:
+        assert cli._theta_window(cfg) == (n, r, 1, window)
+    else:
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            cli._theta_window(cfg)
+
+
+@pytest.mark.parametrize("argv", [
     ("afn", "--r", "2", "--z", "0,3"),
     ("dinv", "--r", "2"),
     ("cells", "--hecke", "--r", "2"),
@@ -317,14 +348,21 @@ def test_cache_cold_then_warm(tmp_path, capsys):
 
 
 # Both halves run in fresh processes, so the memo holds exactly what each
-# computed or loaded.
-_SAVE = """
-import json, sys
+# computed or loaded.  _SAVE_BALLS computes all C_w on the balls named "r,L",
+# prints the memo records, waits for the file named by its second argument
+# unless that is "-", then saves the memo into the file named by its first.
+_SAVE_BALLS = """
+import json, os, sys, time
 from affschur import affperm, hecke, klcache
-for w in affperm.ball(3, 5):
-    hecke.c_elt(w)
-klcache.KLCache(sys.argv[1]).save_new()
-print(json.dumps(sorted([w.r, y.window, w.window, p.to_json()] for (y, w), p in hecke.kl_memo().items())))
+path, go, *balls = sys.argv[1:]
+for ball in balls:
+    for w in affperm.ball(*map(int, ball.split(","))):
+        hecke.c_elt(w)
+print(json.dumps([[w.r, y.window, w.window, p.to_json()] for (y, w), p in hecke.kl_memo().items()]),
+      flush=True)
+while go != "-" and not os.path.exists(go):
+    time.sleep(0.001)
+klcache.KLCache(path).save_new()
 """
 _LOAD = """
 import json, sys
@@ -341,13 +379,104 @@ print(json.dumps([items, canonical, cache.corrupt, hecke.kl_memo_stats()["comput
 
 def test_saved_memo_loads_back_record_for_record(tmp_path):
     path = str(tmp_path / "kl.jsonl")
-    saved = subprocess.run([sys.executable, "-c", _SAVE, path], capture_output=True, text=True)
+    saved = subprocess.run([sys.executable, "-c", _SAVE_BALLS, path, "-", "3,5"],
+                           capture_output=True, text=True)
     assert saved.returncode == 0, saved.stderr
     loaded = subprocess.run([sys.executable, "-c", _LOAD, path], capture_output=True, text=True)
     assert loaded.returncode == 0, loaded.stderr
     items, canonical, corrupt, computed = json.loads(loaded.stdout)
-    assert items == json.loads(saved.stdout) and len(items) > 700
+    assert items == sorted(json.loads(saved.stdout)) and len(items) > 700
     assert canonical and corrupt == 0 and computed == 0
+
+
+def _file_records(path):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return lines, [[rec["r"], rec["y"], rec["w"], rec["P"]] for rec in map(json.loads, lines)]
+
+
+def test_concurrent_saves_interleave_whole_lines(tmp_path):
+    path, go = str(tmp_path / "kl.jsonl"), str(tmp_path / "go")
+    procs = [subprocess.Popen([sys.executable, "-c", _SAVE_BALLS, path, go, *balls],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for balls in (("3,6",), ("4,4", "3,4"))]
+    try:
+        memos = [json.loads(proc.stdout.readline()) for proc in procs]
+        open(go, "w").close()  # both memos are built: release the two saves at once
+        for proc in procs:
+            assert proc.wait(timeout=60) == 0, proc.stderr.read()
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.communicate()
+    union = sorted({json.dumps(rec) for memo in memos for rec in memo})
+    _, records = _file_records(path)  # every line parses
+    assert sorted({json.dumps(rec) for rec in records}) == union
+    loaded = subprocess.run([sys.executable, "-c", _LOAD, path], capture_output=True, text=True)
+    assert loaded.returncode == 0, loaded.stderr
+    items, canonical, corrupt, computed = json.loads(loaded.stdout)
+    assert sorted(json.dumps(rec) for rec in items) == union
+    assert canonical and corrupt == 0 and computed == 0
+
+
+_TOP_UP = """
+import json, sys
+from affschur import affperm, hecke, klcache
+for w in affperm.ball(3, 4):
+    hecke.c_elt(w)
+cache = klcache.KLCache(sys.argv[1]).load()
+for w in affperm.ball(3, 5):
+    hecke.c_elt(w)
+appended = cache.save_new()
+memo = [[w.r, y.window, w.window, p.to_json()] for (y, w), p in hecke.kl_memo().items()]
+print(json.dumps([appended, cache.loaded, cache.duplicates, memo]))
+"""
+
+
+def test_save_appends_exactly_the_records_missing_from_the_file(tmp_path):
+    # the file holds the memo of ball(3,3), part of what ball(3,4) computes
+    path = str(tmp_path / "kl.jsonl")
+    part = subprocess.run([sys.executable, "-c", _SAVE_BALLS, path, "-", "3,3"],
+                          capture_output=True, text=True)
+    assert part.returncode == 0, part.stderr
+    before, _ = _file_records(path)
+    topped = subprocess.run([sys.executable, "-c", _TOP_UP, path], capture_output=True, text=True)
+    assert topped.returncode == 0, topped.stderr
+    appended, loaded, duplicates, memo = json.loads(topped.stdout)
+    assert (loaded, duplicates) == (0, len(before))
+    lines, records = _file_records(path)
+    assert lines[:len(before)] == before and len(lines) == len(before) + appended
+    assert len(set(lines)) == len(lines)
+    assert sorted(map(json.dumps, records)) == sorted(map(json.dumps, memo))
+
+
+def test_save_writes_whole_rows_and_nothing_when_nothing_is_fresh(tmp_path, monkeypatch):
+    writes = []
+
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    monkeypatch.setattr(klcache, "open", lambda *a, **k: Recorder(open(*a, **k)), raising=False)
+    path = tmp_path / "kl.jsonl"
+    cache = KLCache(str(path))
+    hecke.kl_poly(affperm.identity(2), from_word(2, 0, [0, 1, 0]))
+    written = cache.save_new()  # a new handle has persisted nothing: the whole memo
+    assert written == len(hecke.kl_memo()) > 0
+    assert b"".join(writes) == path.read_bytes()
+    rows = [{(rec["r"], tuple(rec["w"])) for rec in map(json.loads, chunk.splitlines())}
+            for chunk in writes]
+    assert all(chunk.endswith(b"\n") for chunk in writes)
+    assert all(len(row) == 1 for row in rows) and len({*map(frozenset, rows)}) == len(writes)
+    path.unlink()
+    assert cache.save_new() == 0 and not path.exists()
 
 
 @st.composite

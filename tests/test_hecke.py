@@ -6,6 +6,7 @@ and positivity/symmetry of the structure constants as further cross-checks.
 """
 
 import inspect
+import json
 import random
 import subprocess
 import sys
@@ -446,6 +447,63 @@ def test_is_in_H_IJ_r3_plus_reps():
     wp = plus_rep(matrix_of(lam, generator(3, 0), mu))
     assert is_in_H_IJ(c_elt(wp), lam, mu)
     assert not is_in_H_IJ(t_elt(wp), lam, mu)
+
+
+# Each run is a fresh process, so the memo holds exactly what its threads put
+# there.  The threads start at a barrier under a 1 us switch interval.  In the
+# c_elt job they all walk ball(3, 6) in one order, racing to create the same
+# memo rows; in the insert job thread k puts its own y into each of 20,000 new
+# rows, so a row lost to a race shows as missing records.
+_THREADED_MEMO = """
+import json, sys, threading
+from affschur import hecke
+from affschur.affperm import AffPerm, ball
+from affschur.laurent import ZERO
+job, count = sys.argv[1], int(sys.argv[2])
+if job == "c_elt":
+    ws = list(ball(3, 6))
+    def work(k):
+        for w in ws:
+            hecke.c_elt(w)
+else:
+    ws = [AffPerm(2, (1 + 2 * j, 2 - 2 * j)) for j in range(10**6, 10**6 + 20_000)]
+    def work(k):
+        y = AffPerm(2, (1 + 2 * k, 2 - 2 * k))
+        for w in ws:
+            hecke.kl_memo_insert(y, w, ZERO)
+start = threading.Barrier(count)
+def run(k):
+    start.wait()
+    work(k)
+threads = [threading.Thread(target=run, args=(k,)) for k in range(count)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+assert not any(t.is_alive() for t in threads)
+records = sorted([w.window, y.window, p.to_json()] for (y, w), p in hecke.kl_memo().items())
+print(json.dumps([records, hecke.kl_memo_stats()["entries"]]))
+"""
+
+
+def _threaded_memo(job, threads):
+    proc = subprocess.run([sys.executable, "-c", _THREADED_MEMO, job, str(threads)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_threads_sharing_the_memo_lose_no_records():
+    records, entries = _threaded_memo("c_elt", 1)
+    assert len(records) == entries > 1000
+    assert _threaded_memo("c_elt", 4) == [records, entries]
+    records, entries = _threaded_memo("insert", 4)
+    assert len(records) == entries == 4 * 20_000
 
 
 # Runs in a fresh process because the KL memo table is process-wide.  The

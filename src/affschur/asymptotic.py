@@ -27,7 +27,7 @@ from .errors import (
     UncertifiedBoundary,
     WindowExceeded,
 )
-from .hecke import h_expansion, kl_poly
+from .hecke import HeckeElt, h_expansion, kl_poly
 from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear
 from .parabolic import (
     Composition,
@@ -38,7 +38,7 @@ from .parabolic import (
     matrix_of,
     plus_rep,
 )
-from .schur import g_expansion, g_struct, max_rep_terms
+from .schur import SchurElt, g_expansion, g_struct, max_rep_terms
 
 __all__ = [
     "AValue",
@@ -61,6 +61,7 @@ __all__ = [
     "j_identity_schur",
     "lusztig_phi_hecke",
     "lusztig_phi_schur",
+    "lusztig_phi_elt",
     "hecke_sim_L",
     "cell_preorder",
     "lowest_cell",
@@ -255,9 +256,7 @@ def gamma_mat_expansion(
 
 def is_distinguished(z: AffPerm, length_bound: int = 4) -> bool:
     """True iff z is an involution with certified a(z) = Delta(z)."""
-    if z.omega_degree != 0:
-        return False
-    if not (z * z).is_identity():
+    if z.omega_degree != 0 or not (z * z).is_identity():
         return False
     av = certified_a(z, length_bound)
     if not av.certified:
@@ -289,9 +288,7 @@ def dinv_schur(
     """The distinguished matrices in the window: ro = co and sigma in D."""
     out = []
     for A in enumerate_theta(n, r, length_bound, omega_window):
-        if A.ro != A.co:
-            continue
-        if is_distinguished(plus_rep(A), length_bound):
+        if A.ro == A.co and is_distinguished(plus_rep(A), length_bound):
             out.append(A)
     return tuple(sorted(out, key=lambda A: A.sort_key))
 
@@ -328,6 +325,12 @@ class JElt(Combination):
     def _validate(self) -> None:
         if self.ring not in ("J_W", "J_Schur"):
             raise BasisMismatch(f"unknown asymptotic ring tag {self.ring!r}")
+        kind = AffPerm if self.ring == "J_W" else PeriodicMatrix
+        for k in self.terms:
+            if not isinstance(k, kind):
+                raise BasisMismatch(f"{k!r} is not a basis key of {self.ring}")
+            if k.r != self.r or (kind is PeriodicMatrix and k.n != self.n):
+                raise PeriodMismatch(f"{k!r} does not live in {self.ring} with r={self.r}, n={self.n}")
 
     def _check_compatible(self, other: "JElt") -> None:
         if (self.ring, self.r, self.n) != (other.ring, other.r, other.n):
@@ -350,10 +353,7 @@ class JElt(Combination):
             else:
                 key = PeriodicMatrix(obj["n"], tuple(tuple(e) for e in t["matrix"]))
             coeff = t.get("coeff", "1")
-            if isinstance(coeff, str):
-                terms[key] = LaurentPoly(int(coeff))
-            else:
-                terms[key] = LaurentPoly.from_json(coeff)
+            terms[key] = LaurentPoly.from_json({"0": coeff} if isinstance(coeff, str) else coeff)
         return JElt(obj["ring"], obj["r"], obj.get("n", 0), terms)
 
 
@@ -395,46 +395,43 @@ def j_identity_schur(n: int, r: int, length_bound: int) -> JElt:
 # The Lusztig homomorphisms (A-coefficient images in the asymptotic rings)
 
 
-def lusztig_phi_hecke(w: AffPerm, length_bound: int) -> JElt:
-    """phi(C_w) = sum over u and distinguished d with a(d) = a(u) of h_{w,d,u} t_u."""
+def _phi(blocks, a_key, length_bound: int) -> dict:
+    """sum h t_u over the (u, h) in each block (d, terms) with a(u) = a(d), a(k) being
+    certified_a(a_key(k)); UncertifiedAValue if some term's a(u) is uncertified."""
     acc: dict[object, LaurentPoly] = {}
-    for d in distinguished_involutions(w.r, length_bound):
-        ad = certified_a(d, length_bound)
-        for u, h in h_expansion(w, d).items():
-            au = certified_a(u, length_bound)
+    for d, terms in blocks:
+        ad = certified_a(a_key(d), length_bound)
+        for u, h in terms:
+            au = certified_a(a_key(u), length_bound)
             if not au.certified:
-                raise UncertifiedAValue(f"a({u}) uncertified in phi(C_w) truncation")
+                raise UncertifiedAValue(f"a({u}) uncertified in the truncation of the Lusztig map")
             if au.value == ad.value:
                 acc[u] = acc.get(u, ZERO) + h
-    return JElt("J_W", w.r, 0, acc)
+    return acc
 
 
-def lusztig_phi_hecke_elt(a, length_bound: int) -> JElt:
-    """A-linear extension of lusztig_phi_hecke to C-basis Hecke elements."""
-    terms = linear(a.terms, lambda w: lusztig_phi_hecke(w, length_bound).terms.items())
-    return JElt("J_W", a.r, 0, terms)
+def lusztig_phi_hecke(w: AffPerm, length_bound: int) -> JElt:
+    """phi(C_w) = sum over u and distinguished d with a(d) = a(u) of h_{w,d,u} t_u."""
+    blocks = ((d, h_expansion(w, d).items()) for d in distinguished_involutions(w.r, length_bound))
+    return JElt("J_W", w.r, 0, _phi(blocks, lambda u: u, length_bound))
 
 
 def lusztig_phi_schur(A: PeriodicMatrix, length_bound: int) -> JElt:
     """Phi(theta_A) = sum over B and distinguished D colored co(A) with
     a(D) = a(B) of g_{A,D,B} t_B."""
-    mu = A.co
-    acc: dict[object, LaurentPoly] = {}
-    for D in dinv_schur_colored(A.n, A.r, mu, length_bound):
-        aD = certified_a(plus_rep(D), length_bound)
-        for B, g in g_expansion(A, D):
-            aB = certified_a(plus_rep(B), length_bound)
-            if not aB.certified:
-                raise UncertifiedAValue(f"a({B}) uncertified in Phi truncation")
-            if aB.value == aD.value:
-                acc[B] = acc.get(B, ZERO) + g
-    return JElt("J_Schur", A.r, A.n, acc)
+    blocks = ((D, g_expansion(A, D)) for D in dinv_schur_colored(A.n, A.r, A.co, length_bound))
+    return JElt("J_Schur", A.r, A.n, _phi(blocks, plus_rep, length_bound))
 
 
-def lusztig_phi_schur_elt(a, length_bound: int) -> JElt:
-    """A-linear extension of lusztig_phi_schur to theta-basis elements."""
-    terms = linear(a.terms, lambda A: lusztig_phi_schur(A, length_bound).terms.items())
-    return JElt("J_Schur", a.r, a.n, terms)
+def lusztig_phi_elt(a: "HeckeElt | SchurElt", length_bound: int) -> JElt:
+    """The A-linear extension of phi to a C-basis HeckeElt, or of Phi to a
+    theta-basis SchurElt."""
+    on_hecke = isinstance(a, HeckeElt)
+    if a.basis != ("C" if on_hecke else "theta"):
+        raise BasisMismatch(f"the Lusztig maps act on the C and theta bases, not {a.basis!r}")
+    image = lusztig_phi_hecke if on_hecke else lusztig_phi_schur
+    terms = linear(a.terms, lambda k: image(k, length_bound).terms.items())
+    return JElt("J_W", a.r, 0, terms) if on_hecke else JElt("J_Schur", a.r, a.n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -471,31 +468,18 @@ class CellReport:
         }
 
 
-def _transitive_closure(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    succ = {i: set() for i in range(n)}
+def _reach(n: int, edges: set[tuple[int, int]]) -> list[int]:
+    """reach[i], as a bitset (a Python int): bit j is set iff j is reached from
+    i in the reflexive-transitive closure of the edges (Warshall's algorithm)."""
+    reach = [1 << i for i in range(n)]
     for a, b in edges:
-        succ[a].add(b)
-    closed = set()
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in succ[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        closed.update((start, t) for t in seen)
-    return closed
-
-
-def _scc_partition(n: int, relation: set[tuple[int, int]]) -> list[list[int]]:
-    # relation is a reflexive-transitive closure: group by mutual reachability
-    classes = {
-        tuple(j for j in range(n) if (i, j) in relation and (j, i) in relation)
-        for i in range(n)
-    }
-    return sorted(map(list, classes))
+        reach[a] |= 1 << b
+    for k in range(n):
+        bit, row = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= row
+    return reach
 
 
 def _left_cells(items, related) -> list[list]:
@@ -554,12 +538,15 @@ def cell_preorder(elements, flavor: str = "L") -> CellReport:
     elements = sorted(set(elements), key=lambda k: k.sort_key)
     n = len(elements)
     edges = set().union(*(_one_step_edges(elements, side) for side in flavor))
+    reach = _reach(n, edges)
+    # the cells are the classes of mutual reach
+    cells = {tuple(j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1) for i in range(n)}
     return CellReport(
         flavor=flavor,
         window=f"{n} elements",
         elements=elements,
         edges=sorted(edges),
-        cells=_scc_partition(n, _transitive_closure(n, edges)),
+        cells=sorted(map(list, cells)),
         caveats=[
             "window-bounded: relations are sound but cells may merge or extend "
             "outside the window"
@@ -700,7 +687,8 @@ class _Window:
         edges_L, edges_R = _one_step_edges(win, "L"), _one_step_edges(win, "R")
         edges = {"L": edges_L, "R": edges_R, "LR": edges_L | edges_R}
         return {
-            flavor: [(win[a], win[b]) for a, b in _transitive_closure(len(win), e)]
+            flavor: [(win[a], B) for a, bits in enumerate(_reach(len(win), e))
+                     for b, B in enumerate(win) if bits >> b & 1]
             for flavor, e in edges.items()
         }
 

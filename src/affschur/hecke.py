@@ -31,9 +31,10 @@ sw < w, and C_s C_w = C_{sw} + sum mu(z, w) C_z over z < w with sz < z
 otherwise (Kazhdan-Lusztig 1979, (2.3.a-b)).  With s the lowest left descent
 of x = s x' this gives C_x C_y = C_s (C_x' C_y) - sum mu(z, x') C_z C_y, again
 over z < x' with sz < z.  Besides the mu-lists, one memo serves it: every
-product on (x, y) the recursion forms.  The pairs that callers ask for are
-counted apart, in the lru_cache of _h_expansion_core.  The T-basis route
-(h_mul of the two C_w, peeled back by t_to_c) stays as the oracle.
+product on (x, y) the recursion forms, held once, as a read-only mapping in
+sort_key order that h_expansion hands out as it is.  The lru_cache of
+_h_expansion_core only counts the pairs that callers ask for.  The T-basis
+route (h_mul of the two C_w, peeled back by t_to_c) stays as the oracle.
 
 Polynomials in q are represented in t with even exponents throughout.
 """
@@ -71,8 +72,10 @@ __all__ = [
     "j_inv",
     "psi",
     "is_in_H_IJ",
+    "kl_shaped",
     "kl_memo_stats",
     "kl_memo",
+    "kl_memo_rows",
     "kl_memo_insert",
 ]
 
@@ -243,36 +246,20 @@ def _row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
     return _KL.get(w) or _KL.setdefault(w, {})
 
 
-class _MemoView(Mapping):
-    """The memo table read-only, as a mapping (y, w) -> P_{y,w}; rows() walks
-    it one w at a time without building pairs.  The walks copy the keys first,
-    so another thread may insert meanwhile."""
-
-    __slots__ = ()
-
-    def __getitem__(self, key):
-        y, w = key
-        return _KL[w][y]
-
-    def __iter__(self):
-        return ((y, w) for w, row in list(_KL.items()) for y in list(row))
-
-    def __len__(self) -> int:
-        return sum(map(len, list(_KL.values())))
-
-    def rows(self):
-        """Yield (w, read-only row y -> P_{y,w}) for each w with a row."""
-        return ((w, MappingProxyType(row)) for w, row in list(_KL.items()))
-
-
 def kl_memo_stats() -> dict:
-    return dict(_KL_STATS, entries=len(kl_memo()), distinct_polys=len(_POLYS),
+    return dict(_KL_STATS, entries=sum(map(len, list(_KL.values()))), distinct_polys=len(_POLYS),
                 shared_elements=affperm.shared_elements())
 
 
-def kl_memo() -> _MemoView:
-    """The memo table as a read-only mapping (y, w) -> P_{y,w}, y and w in W'."""
-    return _MemoView()
+def kl_memo() -> dict[tuple[AffPerm, AffPerm], LaurentPoly]:
+    """A copy of the memo table as a dict (y, w) -> P_{y,w}, y and w in W'."""
+    return {(y, w): p for w, row in kl_memo_rows() for y, p in list(row.items())}
+
+
+def kl_memo_rows():
+    """Yield (w, read-only row y -> P_{y,w}) for each w with a row.  The walk
+    copies the keys of the table first, so another thread may insert meanwhile."""
+    return ((w, MappingProxyType(row)) for w, row in list(_KL.items()))
 
 
 def kl_memo_insert(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
@@ -319,14 +306,17 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
         for z, mu in _mu_list(v):
             if i in z.left_descents and y in bruhat_lower(z):
                 val = val - mu * t_pow(w.length - z.length) * _kl(y, z)
-        # P_{y,w} is a polynomial in q of q-degree <= (l(w) - l(y) - 1)/2
-        if not val.in_q() or val.min_degree() < 0 or (
-            val.degree() > w.length - y.length - 1
-        ):
+        # P_{y,w} has q-degree <= (l(w) - l(y) - 1)/2
+        if not kl_shaped(val) or val.degree() > w.length - y.length - 1:
             raise KLInvariantViolation(f"KL recursion violated degree bounds at {(y, w)}: {val!r}")
     val = _row(w).setdefault(y, _intern(val))
     _KL_STATS["computed"] += 1
     return val
+
+
+def kl_shaped(p: LaurentPoly) -> bool:
+    """The shape of every KL polynomial: zero, or a polynomial in q with constant term 1."""
+    return p.is_zero() or (p.coeff(0) == 1 and p.in_q() and p.min_degree() >= 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,35 +400,35 @@ def _add_left_gen(out: dict, i: int, s: AffPerm, w: AffPerm, c: LaurentPoly) -> 
             out[z] = out.get(z, ZERO) + c * mu
 
 
-_PRODUCTS: dict[tuple[AffPerm, AffPerm], tuple[tuple[AffPerm, LaurentPoly], ...]] = {}
+_PRODUCTS: dict[tuple[AffPerm, AffPerm], Mapping[AffPerm, LaurentPoly]] = {}
 
 
-def _c_product(u: AffPerm, v: AffPerm) -> tuple[tuple[AffPerm, LaurentPoly], ...]:
+def _c_product(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
     # C_u = C_s C_u' - sum mu(z, u') C_z over z < u' with sz < z, for u = su' > u'
     hit = _PRODUCTS.get((u, v))
     if hit is not None:
         return hit
     if u.is_identity():
-        return ((v, ONE),)
+        return MappingProxyType({v: ONE})
     i = min(u.left_descents)
     s = affperm.generator(u.r, i)
     up = s * u
     out: dict[AffPerm, LaurentPoly] = {}
-    for w, c in _c_product(up, v):
+    for w, c in _c_product(up, v).items():
         _add_left_gen(out, i, s, w, c)
     for z, mu in _mu_list(up):
         if i in z.left_descents:
-            for w, c in _c_product(z, v):
+            for w, c in _c_product(z, v).items():
                 out[w] = out.get(w, ZERO) - c * mu
     terms = [(w, c) for w, c in out.items() if not c.is_zero()]
-    val = _PRODUCTS[(u, v)] = tuple(sorted(terms, key=lambda p: p[0].sort_key))
+    val = _PRODUCTS[(u, v)] = MappingProxyType(dict(sorted(terms, key=lambda p: p[0].sort_key)))
     return val
 
 
 @functools.lru_cache(maxsize=None)
 def _h_expansion_core(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
-    # memo of the pairs h_expansion asks for; the sub-products stay in _PRODUCTS
-    return MappingProxyType(dict(_c_product(u, v)))
+    # counts the pairs h_expansion asks for; the products themselves live in _PRODUCTS
+    return _c_product(u, v)
 
 
 def h_expansion(x: AffPerm, y: AffPerm) -> Mapping[AffPerm, LaurentPoly]:

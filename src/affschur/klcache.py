@@ -9,12 +9,12 @@ a warning count instead of failing.
 
 A load checks every record before the memo sees it, and counts a record that
 fails as a corrupt line: both windows must build elements of W' (rho-degree
-0), P_{w,w} must be 1, and a nonzero P_{y,w} must be a polynomial in q with
-constant term 1 and t-degree at most l(w) - l(y) - 1, and r may be at most
-MAX_PERIOD.  Whether y <= w holds is not checked: that needs the lower ideals.
-Each distinct window is validated once, into one element, and each distinct P
-is parsed and checked once, into one polynomial, shared by every record; only
-P_{w,w} = 1 and the degree bound are checked per record.
+0), the coefficients of P must be integers or integer strings, P_{w,w} must be
+1, P_{y,w} must pass hecke.kl_shaped and have t-degree at most l(w) - l(y) - 1,
+and r may be at most MAX_PERIOD; whether y <= w holds needs the lower ideals
+and is not checked.  Each distinct window becomes one element, and each
+distinct P one polynomial, parsed and shape-checked once; P_{w,w} = 1 and the
+degree bound are checked per record.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class KLCache:
         """Append every memo entry computed since the last load/save, in
         (r, w, y) order; a save with nothing fresh opens no file."""
         done = self._persisted
-        rows = sorted(hecke.kl_memo().rows(), key=lambda item: (item[0].r, item[0].window))
+        rows = sorted(hecke.kl_memo_rows(), key=lambda item: (item[0].r, item[0].window))
         written = 0
         fh = None
         try:
@@ -131,7 +131,10 @@ def _records(path: str):
                     key = tuple(rec["P"].items())
                     poly = polys.get(key)
                     if poly is None:
-                        poly = polys[key] = LaurentPoly.from_json(rec["P"])
+                        poly = LaurentPoly.from_json(rec["P"])
+                        # only text coefficients key the table: as keys, true == 1 == 1.0
+                        if {str}.issuperset(map(type, rec["P"].values())):
+                            polys[key] = poly
                 except (AttributeError, KeyError, TypeError, ValueError):
                     yield None
                     continue
@@ -143,20 +146,20 @@ def _records(path: str):
 def _checked(path: str):
     """Yield (y, w, P) for each record of a cache file that passes the checks
     in the module docstring, None for each line that is corrupt or fails one.
-    Each distinct window is validated once, into one element, and the checks
-    that read P alone run once per distinct P."""
+    Each distinct window is validated once, into one element, and
+    hecke.kl_shaped runs once per distinct P."""
     elements: dict[tuple, AffPerm | None] = {}
-    # keyed by id: _records gives equal P one object, alive while it reads
-    shaped: dict[int, bool] = {}
+    # keyed by id, each entry holding its P, so no id is reused while it reads
+    shaped: dict[int, tuple[LaurentPoly, bool]] = {}
     for rec in _records(path):
         if rec is not None:
             (r, y, w), poly = rec
             y, w = _element(elements, r, y), _element(elements, r, w)
             if y is not None and w is not None:
-                ok = shaped.get(id(poly))
-                if ok is None:
-                    ok = shaped[id(poly)] = _shaped(poly)
-                if _plausible(y, w, poly, ok):
+                hit = shaped.get(id(poly))
+                if hit is None:
+                    hit = shaped[id(poly)] = poly, hecke.kl_shaped(poly)
+                if _plausible(y, w, poly, hit[1]):
                     yield y, w, poly
                     continue
         yield None
@@ -180,13 +183,8 @@ def _element(elements: dict, r: int, window: tuple) -> AffPerm | None:
     return x
 
 
-def _shaped(p: LaurentPoly) -> bool:
-    """The checks on P alone: zero, or a polynomial in q with constant term 1."""
-    return p.is_zero() or (p.coeff(0) == 1 and p.in_q() and p.min_degree() >= 0)
-
-
 def _plausible(y: AffPerm, w: AffPerm, p: LaurentPoly, shaped: bool) -> bool:
-    """The checks on P_{y,w} that need no Bruhat order, given _shaped(p)."""
+    """The checks on P_{y,w} that need no Bruhat order, given hecke.kl_shaped(p)."""
     if y is w:
         return p == ONE
     return shaped and p.degree() <= w.length - y.length - 1

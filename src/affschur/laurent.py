@@ -242,7 +242,10 @@ class LaurentPoly:
         return {str(e): str(c) for e, c in sorted(self._c.items())}
 
     @staticmethod
-    def from_json(obj: Mapping[str, str]) -> "LaurentPoly":
+    def from_json(obj: Mapping[str, "str | int"]) -> "LaurentPoly":
+        """Parse to_json output; a coefficient may also be an integer, never a boolean."""
+        if not isinstance(obj, Mapping) or not {int, str}.issuperset(map(type, obj.values())):
+            raise TypeError(f"a polynomial is an object of integer coefficients, not {obj!r}")
         return LaurentPoly({int(e): int(c) for e, c in obj.items()})
 
 

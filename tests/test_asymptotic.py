@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from affschur import asymptotic
 from affschur.affperm import AffPerm, ball, from_word, generator, identity, rho, rho_conjugate
 from affschur.cli import main
-from affschur.errors import UncertifiedAValue, UncertifiedBoundary
+from affschur.errors import BasisMismatch, UncertifiedAValue, UncertifiedBoundary
 from affschur.asymptotic import (
+    AValue,
+    JElt,
     a_bounded,
     based_ring_checks,
     cell_preorder,
@@ -33,15 +35,14 @@ from affschur.asymptotic import (
     j_identity_schur,
     j_mul,
     lowest_cell,
+    lusztig_phi_elt,
     lusztig_phi_hecke,
-    lusztig_phi_hecke_elt,
     lusztig_phi_schur,
-    lusztig_phi_schur_elt,
     nu,
     q_suite,
 )
-from affschur.hecke import h_expansion, h_mul, c_elt, t_to_c
-from affschur.laurent import ONE
+from affschur.hecke import HeckeElt, h_expansion, h_mul, c_elt, t_to_c
+from affschur.laurent import ONE, T, LaurentPoly
 from affschur.parabolic import (
     Composition,
     PeriodicMatrix,
@@ -50,7 +51,7 @@ from affschur.parabolic import (
     matrix_of,
     plus_rep,
 )
-from affschur.schur import basis_convert, g_expansion, theta_elt, theta_mul
+from affschur.schur import SchurElt, basis_convert, g_expansion, theta_elt, theta_mul
 
 E2 = identity(2)
 S0 = generator(2, 0)
@@ -223,7 +224,7 @@ def test_lusztig_phi_hecke():
     for x in ball(2, 2):
         for y in ball(2, 2):
             prod = t_to_c(h_mul(c_elt(x), c_elt(y)))
-            lhs = lusztig_phi_hecke_elt(prod, 4)
+            lhs = lusztig_phi_elt(prod, 4)
             rhs_terms = {}
             a_img = lusztig_phi_hecke(x, 4)
             b_img = lusztig_phi_hecke(y, 4)
@@ -248,7 +249,7 @@ def test_lusztig_phi_schur_multiplicative_window():
     pairs = [(A, B) for A in win for B in win if A.co == B.ro][:40]
     for A, B in pairs:
         prod = theta_mul(theta_elt(A), theta_elt(B))
-        lhs = lusztig_phi_schur_elt(prod, 4)
+        lhs = lusztig_phi_elt(prod, 4)
         ja, jb = lusztig_phi_schur(A, 4), lusztig_phi_schur(B, 4)
         acc = {}
         for u, cu in ja.terms.items():
@@ -344,6 +345,81 @@ def test_right_preorder_matches_the_flipped_left_preorder(elements):
     right = cell_preorder(elements, "R")
     assert right.edges == _flipped_r_edges(elements)
     assert cell_preorder(elements, "LR").edges == sorted(set(left.edges) | set(right.edges))
+
+
+def _closure_by_search(n, edges) -> set:
+    """The reflexive-transitive closure as index pairs, by a depth-first search
+    from each node: the oracle for the bitset closure."""
+    succ = {i: set() for i in range(n)}
+    for a, b in edges:
+        succ[a].add(b)
+    closed = set()
+    for start in range(n):
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        closed.update((start, t) for t in seen)
+    return closed
+
+
+@st.composite
+def digraphs(draw):
+    """(n, edges) with n <= 12; self-loops, cycles and isolated nodes included."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    return n, draw(st.sets(st.tuples(node, node), max_size=3 * n))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(digraphs())
+def test_reach_and_cells_match_the_search_closure(graph):
+    n, edges = graph
+    reach = asymptotic._reach(n, edges)
+    closed = _closure_by_search(n, edges)
+    assert {(i, j) for i in range(n) for j in range(n) if reach[i] >> j & 1} == closed
+    # the strongly-connected components, by a scan of the closure for mutual pairs
+    sccs = {tuple(j for j in range(n) if (i, j) in closed and (j, i) in closed) for i in range(n)}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(asymptotic, "_one_step_edges", lambda elements, side: edges)
+        report = cell_preorder(ball(2, 6)[:n], "L")
+    assert report.cells == sorted(map(list, sccs))
+
+
+def test_lusztig_phi_elt_is_the_per_key_sum():
+    h = HeckeElt(2, "C", {E2: ONE, S0: T + 1, S1 * S0: LaurentPoly(3)})
+    expected = JElt("J_W", 2)
+    for w, c in h.terms.items():
+        expected = expected + lusztig_phi_hecke(w, 4).scale(c)
+    assert lusztig_phi_elt(h, 4) == expected and not expected.is_zero()
+    mats = enumerate_theta(2, 2, 2, (-1, 1))[:6]
+    a = SchurElt(2, 2, "theta", {A: LaurentPoly({i - 2: i + 1}) for i, A in enumerate(mats)})
+    expected = JElt("J_Schur", 2, 2)
+    for A, c in a.terms.items():
+        expected = expected + lusztig_phi_schur(A, 4).scale(c)
+    assert lusztig_phi_elt(a, 4) == expected and not expected.is_zero()
+    with pytest.raises(BasisMismatch):
+        lusztig_phi_elt(HeckeElt(2, "T", {S0: ONE}), 4)
+    with pytest.raises(BasisMismatch):
+        lusztig_phi_elt(SchurElt(2, 2, "phi", {mats[0]: ONE}), 4)
+
+
+@pytest.mark.parametrize("phi,key", [
+    (lusztig_phi_hecke, S0),
+    (lusztig_phi_schur, PeriodicMatrix.diagonal(TWO0)),
+], ids=["hecke", "schur"])
+def test_lusztig_maps_refuse_uncertified_terms(monkeypatch, phi, key):
+    exact = certified_a
+
+    def uncertified(z, length_bound):
+        av = exact(z, length_bound)
+        return AValue(av.value, False, av.witness, av.upper_bound, av.scan_radius)
+
+    monkeypatch.setattr(asymptotic, "certified_a", uncertified)
+    with pytest.raises(UncertifiedAValue):
+        phi(key, 4)
 
 
 def test_lemma55_equivalences_window22():

@@ -156,6 +156,31 @@ def test_nonpositive_n_is_domain_error(capsys, argv):
     assert err.startswith("domain error:"), err
 
 
+_J_SCHUR_WINDOW = '{"ring":"J_Schur","r":2,"n":2,"terms":[{"window":[0,3]}]}'
+_M_R3 = '{"ring":"J_Schur","r":3,"n":2,"terms":[{"matrix":[[1,2,1],[2,1,1]]}]}'
+
+
+@pytest.mark.parametrize("argv", [
+    # a coefficient that is an integer or a list, not an object
+    ("hmul", "--a", '{"r":2,"terms":[{"window":[0,3],"coeff":1}]}', "--b", "0,3"),
+    ("jmul", "--a", '{"ring":"J_W","r":2,"terms":[{"window":[0,3],"coeff":[1]}]}', "--b", "0,3"),
+    # a boolean coefficient
+    ("hmul", "--a", '{"r":2,"terms":[{"window":[0,3],"coeff":{"0":true}}]}', "--b", "0,3"),
+    ("jmul", "--a", '{"ring":"J_W","r":2,"terms":[{"window":[0,3],"coeff":{"0":true}}]}',
+     "--b", "0,3"),
+    # a key of the other ring, or a header the key does not live in
+    ("jmul", "--a", _J_SCHUR_WINDOW, "--b", _J_SCHUR_WINDOW),
+    ("jmul", "--a", '{"ring":"J_W","r":2,"n":2,"terms":[{"matrix":[[1,2,1],[2,1,1]]}]}',
+     "--b", "0,3"),
+    ("jmul", "--a", _M_R3, "--b", _M_R3),
+    ("jmul", "--a", _M_R3.replace('"n":2', '"n":3'), "--b", "0,3"),
+])
+def test_element_json_of_the_wrong_shape_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "", (code, out, err)
+    assert len(err.splitlines()) == 1 and err.startswith(("input error:", "domain error:")), err
+
+
 @pytest.mark.parametrize("argv", [
     ("triple", "--A", "[1,2]"),
     ("triple", "--A", '{"n":"x","entries":[[1,0,1]]}'),
@@ -578,6 +603,8 @@ _BAD_RECORDS = [
     '{"P":[1],"r":2,"w":[0,3],"y":[1,2]}',  # P not an object
     '{"P":{"0":"1"},"r":2,"w":[0,3],"y":[1.0,2]}',  # float entry
     '{"P":{"0":"1"},"r":true,"w":[0,3],"y":[1,2]}',  # boolean period
+    '{"P":{"0":true},"r":2,"w":[0,3],"y":[1,2]}',  # boolean coefficient
+    '{"P":{"0":1.0},"r":2,"w":[0,3],"y":[1,2]}',  # float coefficient
     '{"P":{"0":"1"},"r":3,"w":[0,3],"y":[1,2]}',  # period differs from the window
     # a valid pair in W' whose period is above MAX_PERIOD: l(w) would cost O(r^2)
     f'{{"P":{{"0":"1"}},"r":{MAX_PERIOD + 1},"w":{[2, 1, *range(3, MAX_PERIOD + 2)]},'
@@ -589,6 +616,15 @@ _GOOD_RECORDS = [
     '{"r": 2, "y": [1, 2], "w": [3, 0], "P": {"0": "1"}}',  # another JSON spelling
     '{"P":{},"r":2,"w":[0,3],"y":[-1,4]}',  # zero records stay
 ]
+
+
+def test_cache_boolean_coefficient_is_refused_after_an_equal_integer_one(tmp_path):
+    # as dict keys True == 1, so the table of parsed polynomials must not serve one for the other
+    path = tmp_path / "kl.jsonl"
+    path.write_text('{"P":{"0":1},"r":2,"w":[0,3],"y":[1,2]}\n'
+                    '{"P":{"0":true},"r":2,"w":[0,3],"y":[1,2]}\n')
+    stats = scan_stats(str(path))
+    assert (stats["records"], stats["corrupt_lines_skipped"]) == (1, 1)
 
 
 def test_cache_load_rejects_implausible_records(tmp_path, capsys):
@@ -731,7 +767,38 @@ def _coset_argv(command, case):
     return _argv(command, None, lam=_text(lam.parts), mu=_text(mu.parts), w=_text(w.window))
 
 
+_poly = st.one_of(
+    st.dictionaries(st.integers(-3, 3).map(str), st.integers(-2, 2) | st.integers(-2, 2).map(str),
+                    max_size=2),
+    _json_any,
+)
+_entries = st.lists(st.tuples(st.integers(1, 2), st.integers(-1, 3), st.integers(0, 2)).map(list),
+                    max_size=2)
+_elt_term = st.one_of(
+    st.fixed_dictionaries({"window": st.lists(st.integers(-2, 5), min_size=2, max_size=2)},
+                          optional={"coeff": _poly}),
+    st.fixed_dictionaries({"matrix": _entries}, optional={"coeff": _poly}),
+    _json_any,
+)
+
+
+def _elt_argv(command, header, terms):
+    """hmul or jmul of an element with itself: r <= 2 keeps the a-value scans of jmul small."""
+    elt = json.dumps(dict(header, terms=terms))
+    return [command, f"--a={elt}", f"--b={elt}"]
+
+
+_elt_case = st.builds(
+    _elt_argv,
+    st.sampled_from(["hmul", "jmul"]),
+    st.fixed_dictionaries({"r": st.integers(-1, 2)}, optional={
+        "ring": st.sampled_from(["J_W", "J_Schur", "J"]), "n": st.integers(-1, 2),
+        "basis": st.sampled_from(["T", "C", "x"])}),
+    st.lists(_elt_term, max_size=2),
+)
+
 _fuzz_argv = st.one_of(
+    _elt_case,
     st.builds(_argv, st.sampled_from(["length", "word"]), _opt, w=_perm),
     st.builds(_argv, st.just("bruhat"), _opt, y=_perm, w=_perm),
     st.builds(_argv, st.just("triple"), st.none(), A=_matrix),

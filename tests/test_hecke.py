@@ -194,6 +194,31 @@ def test_arithmetic_leaves_shared_memo_values_unchanged():
     assert {key: p.to_json() for key, p in hecke.kl_memo().items()} == records
 
 
+def test_kl_memo_is_a_copy_and_its_rows_are_read_only():
+    w = from_word(3, 0, [0, 1, 2, 0])
+    c_elt(w)
+    memo = hecke.kl_memo()
+    assert hecke.kl_memo_stats()["entries"] == len(memo) > 0
+    before = dict(memo)
+    memo[identity(3), w] = ZERO
+    memo.clear()
+    assert hecke.kl_memo() == before and kl_poly(identity(3), w) == 1 + Q
+    rows = dict(hecke.kl_memo_rows())
+    assert rows[w][identity(3)] == 1 + Q
+    with pytest.raises(TypeError):
+        rows[w][identity(3)] = ZERO
+
+
+def test_h_expansion_hands_out_the_stored_product_read_only():
+    x, y = from_word(3, 0, [0, 1]), from_word(3, 0, [2, 1, 0])
+    exp = h_expansion(x, y)
+    assert exp is hecke._PRODUCTS[x, y] and h_expansion(x, y) is exp
+    assert list(exp) == sorted(exp, key=lambda z: z.sort_key)
+    with pytest.raises(TypeError):
+        exp[x] = ONE
+    assert exp == _t_basis_route(x, y)
+
+
 @st.composite
 def t_combination_pairs(draw):
     r = draw(st.integers(2, 4))

@@ -60,6 +60,7 @@ class AffPerm(Interned):
 
     r: int
     window: tuple[int, ...]
+    SIZES = ("r",)  # the header sizes an element keyed by windows shares with each key
 
     def __post_init__(self):
         object.__setattr__(self, "window", tuple(self.window))
@@ -168,6 +169,13 @@ class AffPerm(Interned):
             letters.append(i)
             u = u * generator(self.r, i)
         return a, tuple(reversed(letters))
+
+    def key_json(self) -> dict:
+        return {"window": list(self.window)}
+
+    @staticmethod
+    def from_key_json(term: dict, header: dict) -> "AffPerm":
+        return AffPerm(header["r"], tuple(term["window"]))
 
     def __repr__(self) -> str:
         return f"AffPerm({self.r}, {self.window})"

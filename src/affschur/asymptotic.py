@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .affperm import AffPerm, ball, identity, rho_conjugate
-from .errors import (
-    BasisMismatch,
-    PeriodMismatch,
-    UncertifiedAValue,
-    UncertifiedBoundary,
-    WindowExceeded,
-)
+from .errors import BasisMismatch, UncertifiedAValue, UncertifiedBoundary, WindowExceeded
 from .hecke import HeckeElt, h_expansion, kl_poly
 from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear
 from .parabolic import (
@@ -308,59 +302,26 @@ def dinv_schur_colored(
 # The asymptotic rings
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class JElt(Combination):
     """An element of an asymptotic ring, over W (ring="J_W") or matrices
-    (ring="J_Schur").
+    (ring="J_Schur"); a J_W element has n = 0.
 
     Based-ring elements carry constant (integer) coefficients; the images of
     the Lusztig homomorphisms extend scalars to Laurent polynomials.
     """
+
+    TAG = "ring"
+    KEYS = {"J_W": AffPerm, "J_Schur": PeriodicMatrix}
 
     ring: str
     r: int
     n: int = 0
     terms: Mapping[object, LaurentPoly] = field(default_factory=dict)
 
-    def _validate(self) -> None:
-        if self.ring not in ("J_W", "J_Schur"):
-            raise BasisMismatch(f"unknown asymptotic ring tag {self.ring!r}")
-        kind = AffPerm if self.ring == "J_W" else PeriodicMatrix
-        for k in self.terms:
-            if not isinstance(k, kind):
-                raise BasisMismatch(f"{k!r} is not a basis key of {self.ring}")
-            if k.r != self.r or (kind is PeriodicMatrix and k.n != self.n):
-                raise PeriodMismatch(f"{k!r} does not live in {self.ring} with r={self.r}, n={self.n}")
-
-    def _check_compatible(self, other: "JElt") -> None:
-        if (self.ring, self.r, self.n) != (other.ring, other.r, other.n):
-            raise PeriodMismatch("asymptotic ring mismatch")
-
-    @staticmethod
-    def _key_json(k) -> dict:
-        if isinstance(k, AffPerm):
-            return {"window": list(k.window)}
-        return {"matrix": [list(e) for e in k.entries]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "JElt":
-        """Parse to_json output; a coefficient may also be an integer string,
-        and a missing one means 1."""
-        terms = {}
-        for t in obj["terms"]:
-            if "window" in t:
-                key = AffPerm(obj["r"], tuple(t["window"]))
-            else:
-                key = PeriodicMatrix(obj["n"], tuple(tuple(e) for e in t["matrix"]))
-            coeff = t.get("coeff", "1")
-            terms[key] = LaurentPoly.from_json({"0": coeff} if isinstance(coeff, str) else coeff)
-        return JElt(obj["ring"], obj["r"], obj.get("n", 0), terms)
-
 
 def j_elt(key, ring: str | None = None, coeff: "LaurentPoly | int" = 1) -> JElt:
     """The basis element t_key of the appropriate asymptotic ring."""
-    if isinstance(coeff, int):
-        coeff = LaurentPoly(coeff)
     if isinstance(key, AffPerm):
         return JElt(ring or "J_W", key.r, 0, {key: coeff})
     return JElt(ring or "J_Schur", key.r, key.n, {key: coeff})

@@ -167,19 +167,13 @@ def parse_matrix(spec: str) -> PeriodicMatrix:
     return _from_json(PeriodicMatrix.from_json, spec)
 
 
-def parse_hecke(spec: str, r: int | None) -> HeckeElt:
+def parse_elt(cls, spec: str, r: int | None) -> "HeckeElt | asymptotic.JElt":
+    """Element JSON of cls (HeckeElt or JElt), or else the basis element T_w or
+    t_w of a group element w in any form that parse_perm reads."""
     spec = spec.strip()
     if spec.startswith("{"):
-        return _from_json(HeckeElt.from_json, spec)
-    w = parse_perm(spec, r)
-    return hecke.t_elt(w)
-
-
-def parse_jelt(spec: str, r: int | None) -> asymptotic.JElt:
-    spec = spec.strip()
-    if spec.startswith("{"):
-        return _from_json(asymptotic.JElt.from_json, spec)
-    return asymptotic.j_elt(parse_perm(spec, r))
+        return _from_json(cls.from_json, spec)
+    return (hecke.t_elt if cls is HeckeElt else asymptotic.j_elt)(parse_perm(spec, r))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +242,7 @@ def cmd_cbasis(args, cfg) -> dict:
 
 
 def cmd_hmul(args, cfg) -> dict:
-    a = parse_hecke(args.a, cfg["r"])
-    b = parse_hecke(args.b, cfg["r"])
+    a, b = (parse_elt(HeckeElt, spec, cfg["r"]) for spec in (args.a, args.b))
     return hecke.h_mul(a, b).to_json()
 
 
@@ -340,8 +333,7 @@ def cmd_dinv(args, cfg) -> dict:
 
 
 def cmd_jmul(args, cfg) -> dict:
-    a = parse_jelt(args.a, cfg["r"])
-    b = parse_jelt(args.b, cfg["r"])
+    a, b = (parse_elt(asymptotic.JElt, spec, cfg["r"]) for spec in (args.a, args.b))
     return asymptotic.j_mul(a, b, cfg["L"]).to_json()
 
 

@@ -80,56 +80,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class HeckeElt(Combination):
     """A finitely supported A-linear combination of basis elements T_w or C_w."""
 
+    TAG = "basis"
+    KEYS = {"T": AffPerm, "C": AffPerm}
+
     r: int
-    basis: str
+    basis: str = "T"
     terms: Mapping[AffPerm, LaurentPoly] = field(default_factory=dict)
-
-    def _validate(self) -> None:
-        if self.basis not in ("T", "C"):
-            raise BasisMismatch(f"unknown Hecke basis tag {self.basis!r}")
-        for w in self.terms:
-            if w.r != self.r:
-                raise PeriodMismatch(f"term {w} has period {w.r}, element has {self.r}")
-
-    def _check_compatible(self, other: "HeckeElt") -> None:
-        if self.r != other.r:
-            raise PeriodMismatch(f"periods {self.r} and {other.r} differ")
-        if self.basis != other.basis:
-            raise BasisMismatch(f"bases {self.basis} and {other.basis} differ")
-
-    @staticmethod
-    def _key_json(w: AffPerm) -> dict:
-        return {"window": list(w.window)}
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         return h_mul(self, other)
 
-    @staticmethod
-    def from_json(obj: dict) -> "HeckeElt":
-        r = obj["r"]
-        terms = {
-            AffPerm(r, tuple(t["window"])): LaurentPoly.from_json(t["coeff"])
-            for t in obj["terms"]
-        }
-        return HeckeElt(r, obj.get("basis", "T"), terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"HeckeElt({self.r}, {self.basis}, 0)"
-        bits = ", ".join(
-            f"{self.basis}{w.window}: {c!r}"
-            for w, c in sorted(self.terms.items(), key=lambda p: p[0].sort_key)
-        )
-        return f"HeckeElt({self.r}, {bits})"
-
 
 def t_elt(w: AffPerm, coeff: "LaurentPoly | int" = 1) -> HeckeElt:
-    if isinstance(coeff, int):
-        coeff = LaurentPoly(coeff)
     return HeckeElt(w.r, "T", {w: coeff})
 
 

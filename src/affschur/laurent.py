@@ -23,11 +23,13 @@ True
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+import re
+from dataclasses import MISSING, fields, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping
 
-from .errors import DivisionByZero, InexactDivision, ZeroBase
+from .errors import BasisMismatch, DivisionByZero, InexactDivision, PeriodMismatch, ZeroBase
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "T", "TINV", "Q", "QINV", "NEG_INF", "t_pow",
            "Combination", "linear", "bilinear", "peel"]
@@ -243,11 +245,18 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj: Mapping[str, "str | int"]) -> "LaurentPoly":
-        """Parse to_json output; a coefficient may also be an integer, never a boolean."""
-        if not isinstance(obj, Mapping) or not {int, str}.issuperset(map(type, obj.values())):
-            raise TypeError(f"a polynomial is an object of integer coefficients, not {obj!r}")
+        """Parse to_json output: exponents and coefficients are the decimal strings
+        to_json writes (-?[0-9]+, ASCII); a coefficient may also be an integer,
+        never a boolean."""
+        if not isinstance(obj, Mapping) or not all(
+                type(e) is str and _DECIMAL(e) and (type(c) is int or type(c) is str and _DECIMAL(c))
+                for e, c in obj.items()):
+            raise TypeError(f"a polynomial is an object of decimal integers, not {obj!r}")
         return LaurentPoly({int(e): int(c) for e, c in obj.items()})
 
+
+# the form to_json writes an integer in: ASCII digits after an optional minus sign
+_DECIMAL = re.compile("-?[0-9]+").fullmatch
 
 ZERO = LaurentPoly(0)
 ONE = LaurentPoly(1)
@@ -268,23 +277,67 @@ def t_pow(exp: int, coeff: int = 1) -> LaurentPoly:
 
 class Combination:
     """A finitely supported combination sum_k c_k b_k of basis keys b_k with
-    Laurent coefficients c_k: the shared arithmetic of the algebra elements.
+    Laurent coefficients c_k: the shared element protocol of the algebras.
 
-    Subclasses are frozen dataclasses (with eq=False) whose field ``terms``
-    maps keys to coefficients; every other field is the header that two
-    combinations must share to be equal.  Keys carry a ``sort_key``.  A
-    subclass supplies ``_validate`` (header checks), ``_check_compatible``
-    (mismatch errors for sums) and ``_key_json`` (the key serializer).
+    Subclasses are frozen dataclasses (with eq=False, repr=False) whose field
+    ``terms`` maps keys to coefficients; every other field is the header that
+    two combinations must share to be equal.  ``TAG`` names the header field
+    that names the basis, and ``KEYS`` maps each basis name to its key class.
+    Every other header field is a size: each key carries the sizes its class
+    lists in ``SIZES`` and must share them, and a size the key class does not
+    carry keeps its default.  A key class also supplies ``sort_key``,
+    ``key_json`` and ``from_key_json``.  An int coefficient is read as a
+    constant polynomial, and zero coefficients drop out.
     """
 
+    TAG: ClassVar[str]
+    KEYS: ClassVar[Mapping[str, type]]
     __hash__ = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # runs before @dataclass: the fields are the annotations, a default a class attribute
+        cls._HEADER = tuple(a for a in cls.__dict__["__annotations__"] if a != "terms")
+        cls._SIZES = tuple(a for a in cls._HEADER if a != cls.TAG)
+        cls._size_of = attrgetter(*cls._SIZES)
+        cls._CHECKS = {}
+        for tag, kind in cls.KEYS.items():
+            carried = [a for a in cls._SIZES if a in kind.SIZES]
+            fixed = tuple((a, cls.__dict__[a]) for a in cls._SIZES if a not in kind.SIZES)
+            cls._CHECKS[tag] = kind, attrgetter(*carried), fixed
+
     def __post_init__(self):
-        object.__setattr__(self, "terms", {k: c for k, c in self.terms.items() if not c.is_zero()})
-        self._validate()
+        # c._c, not bool(c): the test runs once per term, and a slot call costs more
+        terms = {k: LaurentPoly(c) if type(c) is int else c
+                 for k, c in self.terms.items() if (c if type(c) is int else c._c)}
+        object.__setattr__(self, "terms", terms)
+        tag = getattr(self, self.TAG)
+        check = self._CHECKS.get(tag)
+        if check is None:
+            raise BasisMismatch(f"unknown {type(self).__name__} basis tag {tag!r}")
+        kind, sizes, fixed = check
+        want = sizes(self)
+        for k in terms:
+            if type(k) is not kind:
+                raise BasisMismatch(f"{k!r} is not a basis key of {tag}")
+            if sizes(k) != want:
+                raise PeriodMismatch(f"{k!r} does not live in {self._sizes()}")
+        for a, default in fixed:
+            if getattr(self, a) != default:
+                raise PeriodMismatch(f"{tag} has no size {a}: {a} must be {default!r}")
+
+    def _sizes(self) -> str:
+        return ", ".join(f"{a}={getattr(self, a)}" for a in self._SIZES)
+
+    def _check_compatible(self, other) -> None:
+        if self._size_of(self) != self._size_of(other):
+            raise PeriodMismatch(f"sizes {self._sizes()} and {other._sizes()} differ")
+        mine, theirs = getattr(self, self.TAG), getattr(other, self.TAG)
+        if mine != theirs:
+            raise BasisMismatch(f"bases {mine} and {theirs} differ")
 
     def _header(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "terms"}
+        return {a: getattr(self, a) for a in self._HEADER}
 
     def coeff(self, key) -> LaurentPoly:
         return self.terms.get(key, ZERO)
@@ -313,13 +366,32 @@ class Combination:
     def scale(self, c: "LaurentPoly | int"):
         return replace(self, terms={k: v * c for k, v in self.terms.items()})
 
+    def __repr__(self) -> str:
+        head = "".join(f"{getattr(self, a)!r}, " for a in self._HEADER)
+        bits = ", ".join(f"{k!r}: {self.terms[k]!r}" for k in self.support())
+        return f"{type(self).__name__}({head}{{{bits}}})"
+
     def to_json(self) -> dict:
         out = self._header()
-        out["terms"] = [
-            dict(self._key_json(k), coeff=c.to_json())
-            for k, c in sorted(self.terms.items(), key=lambda p: p[0].sort_key)
-        ]
+        out["terms"] = [dict(k.key_json(), coeff=self.terms[k].to_json()) for k in self.support()]
         return out
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """Parse to_json output.  A missing header field takes its default; a
+        coefficient may also be an integer string, and a missing one means 1."""
+        header = {f.name: obj[f.name] if f.name in obj or f.default is MISSING else f.default
+                  for f in fields(cls) if f.name != "terms"}
+        cls(**header)  # the header alone is checked first: an unknown tag is refused here
+        kind = cls.KEYS[header[cls.TAG]]
+        terms = {}
+        for t in obj["terms"]:
+            if not isinstance(t, dict):
+                raise TypeError(f"a term is an object, not {t!r}")
+            coeff = t.get("coeff", "1")
+            terms[kind.from_key_json(t, header)] = LaurentPoly.from_json(
+                {"0": coeff} if isinstance(coeff, str) else coeff)
+        return cls(**header, terms=terms)
 
 
 def _coeffs(c: "LaurentPoly | int") -> Mapping[int, int]:

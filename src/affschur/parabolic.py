@@ -194,6 +194,7 @@ class PeriodicMatrix(Interned):
 
     n: int
     entries: tuple[tuple[int, int, int], ...]
+    SIZES = ("n", "r")  # the header sizes an element keyed by matrices shares with each key
 
     def __post_init__(self):
         ent = tuple(sorted(tuple(e) for e in self.entries))
@@ -270,6 +271,13 @@ class PeriodicMatrix(Interned):
         if "r" in obj and obj["r"] != m.r:
             raise InvalidMatrix(f"declared r={obj['r']} but entries sum to {m.r}")
         return m
+
+    def key_json(self) -> dict:
+        return {"matrix": [list(e) for e in self.entries]}
+
+    @staticmethod
+    def from_key_json(term: dict, header: dict) -> "PeriodicMatrix":
+        return PeriodicMatrix(header["n"], tuple(tuple(e) for e in term["matrix"]))
 
     @staticmethod
     def diagonal(lam: Composition) -> "PeriodicMatrix":

@@ -19,8 +19,8 @@ from typing import Mapping
 
 from . import hecke
 from .affperm import AffPerm, bruhat_lower
-from .errors import BasisMismatch, NotInModule, PeriodMismatch
-from .hecke import HeckeElt, coset_sum_TD, h_bar, h_expansion, h_mul, t_elt
+from .errors import BasisMismatch, NotInModule
+from .hecke import HeckeElt, coset_sum_TD, h_bar, h_expansion, h_mul
 from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear, peel, t_pow
 from .parabolic import (
     Composition,
@@ -65,31 +65,17 @@ __all__ = [
 BASES = ("phi", "phihat", "theta", "e", "bracket")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SchurElt(Combination):
     """A finitely supported combination of basis elements of S_q(n, r)."""
 
+    TAG = "basis"
+    KEYS = dict.fromkeys(BASES, PeriodicMatrix)
+
     n: int
     r: int
-    basis: str
+    basis: str = "phi"
     terms: Mapping[PeriodicMatrix, LaurentPoly] = field(default_factory=dict)
-
-    def _validate(self) -> None:
-        if self.basis not in BASES:
-            raise BasisMismatch(f"unknown Schur basis tag {self.basis!r}")
-        for A in self.terms:
-            if A.n != self.n or A.r != self.r:
-                raise PeriodMismatch(f"matrix {A} does not live in (n,r)=({self.n},{self.r})")
-
-    def _check_compatible(self, other: "SchurElt") -> None:
-        if (self.n, self.r) != (other.n, other.r):
-            raise PeriodMismatch(f"(n,r) mismatch: {(self.n, self.r)} vs {(other.n, other.r)}")
-        if self.basis != other.basis:
-            raise BasisMismatch(f"bases {self.basis} and {other.basis} differ")
-
-    @staticmethod
-    def _key_json(A: PeriodicMatrix) -> dict:
-        return {"matrix": [list(e) for e in A.entries]}
 
     def __mul__(self, other: "SchurElt") -> "SchurElt":
         self._check_compatible(other)
@@ -99,34 +85,12 @@ class SchurElt(Combination):
             return theta_mul(self, other)
         raise BasisMismatch(f"no direct product in basis {self.basis!r}; convert first")
 
-    @staticmethod
-    def from_json(obj: dict) -> "SchurElt":
-        n = obj["n"]
-        terms = {
-            PeriodicMatrix(n, tuple(tuple(e) for e in t["matrix"])): LaurentPoly.from_json(
-                t["coeff"]
-            )
-            for t in obj["terms"]
-        }
-        return SchurElt(n, obj["r"], obj.get("basis", "phi"), terms)
-
-    def __repr__(self) -> str:
-        bits = ", ".join(
-            f"{self.basis}{A.entries}: {c!r}"
-            for A, c in sorted(self.terms.items(), key=lambda p: p[0].sort_key)
-        )
-        return f"SchurElt({self.n}, {self.r}, {bits or '0'})"
-
 
 def phi_elt(A: PeriodicMatrix, coeff: "LaurentPoly | int" = 1) -> SchurElt:
-    if isinstance(coeff, int):
-        coeff = LaurentPoly(coeff)
     return SchurElt(A.n, A.r, "phi", {A: coeff})
 
 
 def theta_elt(A: PeriodicMatrix, coeff: "LaurentPoly | int" = 1) -> SchurElt:
-    if isinstance(coeff, int):
-        coeff = LaurentPoly(coeff)
     return SchurElt(A.n, A.r, "theta", {A: coeff})
 
 
@@ -173,8 +137,7 @@ def phi_apply(A: PeriodicMatrix, h: HeckeElt) -> HeckeElt:
     """Apply the standard basis endomorphism phi_A to h in x_mu H (mu = co(A))."""
     # W_mu z {e} is the right coset W_mu z, so this writes h = sum_z c_z x_mu T_z
     parts = _expand_in_TD(h, A.co, Composition(h.r, (1,) * h.r))
-    td = coset_sum_TD(A)
-    return HeckeElt(h.r, "T", linear(parts, lambda z: h_mul(td, t_elt(z)).terms.items()))
+    return h_mul(coset_sum_TD(A), HeckeElt(h.r, "T", parts))
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,10 +145,8 @@ def _phi_pair(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     """phi_A . phi_B expanded in the phi basis, as a tuple of (matrix, coeff)."""
     if A.co != B.ro:
         return ()
-    td_a = coset_sum_TD(A)
     zs = {z: ONE for z in double_coset(B) if not (z.left_descents & A.co.gens)}
-    image = HeckeElt(A.r, "T", linear(zs, lambda z: h_mul(td_a, t_elt(z)).terms.items()))
-    return _phi_terms(image, A.ro, B.co)
+    return _phi_terms(h_mul(coset_sum_TD(A), HeckeElt(A.r, "T", zs)), A.ro, B.co)
 
 
 def phi_mul(a: SchurElt, b: SchurElt) -> SchurElt:
@@ -229,8 +190,6 @@ def basis_convert(a: SchurElt, target: str) -> SchurElt:
     """Exact conversion among the phi / phihat / theta / e / bracket bases.
 
     phihat_A = t^{-d_A} phi_A, and theta is unitriangular over phihat."""
-    if target not in BASES:
-        raise BasisMismatch(f"unknown Schur basis tag {target!r}")
     src = "phi" if a.basis == "e" else "phihat" if a.basis == "bracket" else a.basis
     dst = "phi" if target == "e" else "phihat" if target == "bracket" else target
     terms = dict(a.terms)

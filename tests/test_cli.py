@@ -157,6 +157,7 @@ def test_nonpositive_n_is_domain_error(capsys, argv):
 
 
 _J_SCHUR_WINDOW = '{"ring":"J_Schur","r":2,"n":2,"terms":[{"window":[0,3]}]}'
+_J_W_N2 = '{"ring":"J_W","r":2,"n":2,"terms":[{"window":[0,3]}]}'
 _M_R3 = '{"ring":"J_Schur","r":3,"n":2,"terms":[{"matrix":[[1,2,1],[2,1,1]]}]}'
 
 
@@ -174,6 +175,13 @@ _M_R3 = '{"ring":"J_Schur","r":3,"n":2,"terms":[{"matrix":[[1,2,1],[2,1,1]]}]}'
      "--b", "0,3"),
     ("jmul", "--a", _M_R3, "--b", _M_R3),
     ("jmul", "--a", _M_R3.replace('"n":2', '"n":3'), "--b", "0,3"),
+    # a J_W header with n != 0, with or without terms
+    ("jmul", "--a", _J_W_N2, "--b", _J_W_N2),
+    ("jmul", "--a", _J_W_N2.replace('{"window":[0,3]}', ""),
+     "--b", _J_W_N2.replace('{"window":[0,3]}', "")),
+    # a coefficient string that int() reads but to_json never writes
+    ("hmul", "--a", '{"r":2,"terms":[{"window":[0,3],"coeff":{"0":"1_0"," 2":" 3 "}}]}',
+     "--b", "2,1"),
 ])
 def test_element_json_of_the_wrong_shape_is_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -605,6 +613,8 @@ _BAD_RECORDS = [
     '{"P":{"0":"1"},"r":true,"w":[0,3],"y":[1,2]}',  # boolean period
     '{"P":{"0":true},"r":2,"w":[0,3],"y":[1,2]}',  # boolean coefficient
     '{"P":{"0":1.0},"r":2,"w":[0,3],"y":[1,2]}',  # float coefficient
+    '{"P":{"0":" 1"},"r":2,"w":[0,3],"y":[1,2]}',  # a space in a coefficient
+    '{"P":{"0":"1_0"},"r":2,"w":[0,3],"y":[1,2]}',  # an underscore in a coefficient
     '{"P":{"0":"1"},"r":3,"w":[0,3],"y":[1,2]}',  # period differs from the window
     # a valid pair in W' whose period is above MAX_PERIOD: l(w) would cost O(r^2)
     f'{{"P":{{"0":"1"}},"r":{MAX_PERIOD + 1},"w":{[2, 1, *range(3, MAX_PERIOD + 2)]},'

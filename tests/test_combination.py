@@ -82,6 +82,42 @@ def test_jelt_from_json_integer_and_missing_coefficients():
     assert JElt.from_json(obj) == JElt("J_W", 2, 0, {s0: LaurentPoly(-2), identity(2): ONE})
 
 
+KIND_PARAMS = pytest.mark.parametrize("make, keys", KINDS, ids=["hecke", "schur", "j_w", "j_schur"])
+
+
+@KIND_PARAMS
+def test_int_coefficients_are_constant_polynomials(make, keys):
+    a = make({keys[0]: 3, keys[1]: 0, keys[2]: LaurentPoly(0)})
+    assert a.terms == {keys[0]: LaurentPoly(3)} and a == make({keys[0]: LaurentPoly(3)})
+    assert make({keys[1]: 0}).is_zero()
+
+
+@KIND_PARAMS
+def test_a_key_of_the_wrong_class_is_a_basis_mismatch(make, keys):
+    wrong = MATS[0] if keys is PERMS else PERMS[0]
+    with pytest.raises(BasisMismatch):
+        make({keys[0]: ONE, wrong: ONE})
+
+
+@KIND_PARAMS
+def test_from_json_refuses_an_unknown_tag(make, keys):
+    cls = type(make({}))
+    obj = make({keys[0]: ONE}).to_json()
+    obj[cls.TAG] = "X"
+    with pytest.raises(BasisMismatch):
+        cls.from_json(obj)
+
+
+@KIND_PARAMS
+def test_from_json_coefficient_forms(make, keys):
+    cls = type(make({}))
+    obj = make({keys[0]: ONE, keys[1]: ONE}).to_json()
+    del obj["terms"][0]["coeff"]
+    obj["terms"][1]["coeff"] = "-2"
+    a = cls.from_json(obj)
+    assert a.coeff(a.support()[0]) == ONE and a.coeff(a.support()[1]) == LaurentPoly(-2)
+
+
 def test_header_mismatches_and_hashing():
     s0 = generator(2, 0)
     with pytest.raises(BasisMismatch):
@@ -91,3 +127,7 @@ def test_header_mismatches_and_hashing():
     assert HeckeElt(2, "T", {s0: ONE}) != JElt("J_W", 2, 0, {s0: ONE})
     with pytest.raises(TypeError):
         hash(HeckeElt(2, "T", {}))
+    # a J_W element has no size n, with or without terms
+    for terms in ({}, {s0: ONE}):
+        with pytest.raises(PeriodMismatch):
+            JElt("J_W", 2, 2, terms)

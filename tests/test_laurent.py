@@ -213,6 +213,17 @@ def test_json_roundtrip():
     assert LaurentPoly.from_json({}) == ZERO
 
 
+@pytest.mark.parametrize("obj", [
+    {"0": " 1"}, {"0": "1 "}, {"0": "1_0"}, {"0": "+1"}, {"0": "\u0661"}, {"0": ""}, {"0": "--1"},
+    {" 2": "1"}, {"2_0": "1"}, {"+2": "1"}, {"\u0662": "1"}, {"": "1"},
+])
+def test_from_json_reads_only_the_decimal_form(obj):
+    # int() would accept every one of these but the empty and doubled-sign strings
+    with pytest.raises(TypeError):
+        LaurentPoly.from_json(obj)
+    assert LaurentPoly.from_json({"-2": "-007", "0": 3}) == -7 * T**-2 + 3
+
+
 def test_module_doctests():
     result = doctest.testmod(laurent)
     assert result.attempted > 0 and result.failed == 0

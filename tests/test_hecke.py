@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affschur import affperm, hecke
@@ -37,7 +37,7 @@ from affschur.hecke import (
     t_to_c,
     x_lambda,
 )
-from affschur.laurent import ONE, Q, QINV, T, TINV, ZERO, LaurentPoly, t_pow
+from affschur.laurent import ONE, Q, QINV, T, TINV, ZERO, LaurentPoly, linear, t_pow
 from affschur.parabolic import (
     Composition,
     compositions,
@@ -238,6 +238,62 @@ def test_bar_is_involutive_ring_map(pair):
     a, b = pair
     assert h_bar(h_bar(a)) == a
     assert h_bar(h_mul(a, b)) == h_mul(h_bar(a), h_bar(b))
+
+
+def _bar_sum_by_word(a, factors):
+    """sum_w factors[w] T_{w^{-1}}^{-1}, each T_{w^{-1}}^{-1} replayed over a reduced word."""
+    return HeckeElt(a.r, "T", linear(factors, lambda w: _bar_t_by_word(w).terms.items()))
+
+
+def _h_bar_by_word(a):
+    return _bar_sum_by_word(a, {w: c.bar() for w, c in a.terms.items()})
+
+
+def _psi_by_word(a):
+    return _bar_sum_by_word(a, {w: c.neg_t() * t_pow(2 * w.length, (-1) ** w.length)
+                                for w, c in a.terms.items()})
+
+
+# Integers whose LaurentPoly constants collide in hash under CPython: hash(-1) ==
+# hash(-2), and integers congruent modulo 2**61 - 1 hash alike.
+_HASH_TWINS = [-1, -2, 10**30, 10**30 + 2**61 - 1, -(10**30), -(10**30) - 2**61 + 1]
+
+
+@st.composite
+def bar_inputs(draw):
+    """A T-combination at r = 2, 3 or 4 on rho-shifted keys.  Its coefficients
+    come from a small pool: one object may serve several keys, be copied to an
+    equal but distinct object, or collide in hash with another pool entry."""
+    r = draw(st.integers(2, 4))
+    small = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), min_size=1, max_size=3)
+    twin = st.builds(lambda e, c: {e: c}, st.integers(-2, 2), st.sampled_from(_HASH_TWINS))
+    pool = draw(st.lists(st.one_of(small, twin).map(LaurentPoly), min_size=1, max_size=4))
+
+    def pick(choice):
+        i, copy = choice
+        p = pool[i % len(pool)]
+        return LaurentPoly(dict(p.items())) if copy else p
+
+    perms = st.builds(lambda a, word: from_word(r, a, word), st.integers(-2, 2),
+                      st.lists(st.integers(0, r - 1), max_size=6))
+    coeffs = st.tuples(st.integers(0, 3), st.booleans()).map(pick)
+    return HeckeElt(r, "T", draw(st.dictionaries(perms, coeffs, max_size=6)))
+
+
+_S01, _S10 = from_word(3, 0, [0, 1]), from_word(3, 0, [1, 0])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@example(HeckeElt(3, "T", {}))
+@example(HeckeElt(3, "T", {_S01: -1, _S10: -2}))
+@example(HeckeElt(3, "T", {_S01.shift(1): 10**30, _S10.shift(1): 10**30 + 2**61 - 1}))
+@given(bar_inputs())
+def test_bar_and_psi_match_the_reduced_word_route(a):
+    bar = h_bar(a)
+    assert bar == _h_bar_by_word(a)
+    assert psi(a) == _psi_by_word(a)
+    # barring bar(a) cancels back down to a (to nothing for a = 0)
+    assert h_bar(bar) == a
 
 
 def test_kl_poly_examples():

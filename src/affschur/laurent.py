@@ -330,6 +330,8 @@ class Combination:
         return ", ".join(f"{a}={getattr(self, a)}" for a in self._SIZES)
 
     def _check_compatible(self, other) -> None:
+        if type(other) is not type(self):
+            raise BasisMismatch(f"{type(self).__name__} and {type(other).__name__} differ")
         if self._size_of(self) != self._size_of(other):
             raise PeriodMismatch(f"sizes {self._sizes()} and {other._sizes()} differ")
         mine, theirs = getattr(self, self.TAG), getattr(other, self.TAG)
@@ -361,6 +363,7 @@ class Combination:
         return replace(self, terms=terms)
 
     def __sub__(self, other):
+        self._check_compatible(other)
         return self + other.scale(-1)
 
     def scale(self, c: "LaurentPoly | int"):

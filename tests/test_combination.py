@@ -118,6 +118,18 @@ def test_from_json_coefficient_forms(make, keys):
     assert a.coeff(a.support()[0]) == ONE and a.coeff(a.support()[1]) == LaurentPoly(-2)
 
 
+@pytest.mark.parametrize("left, right", [(a, b) for a in range(4) for b in range(4) if a != b])
+def test_elements_of_different_kinds_do_not_add(left, right):
+    (make_a, keys_a), (make_b, keys_b) = KINDS[left], KINDS[right]
+    a, b = make_a({keys_a[0]: ONE}), make_b({keys_b[0]: ONE})
+    # the two JElt kinds share a class and differ in size; other pairs differ in class
+    error = PeriodMismatch if type(a) is type(b) else BasisMismatch
+    with pytest.raises(error):
+        a + b
+    with pytest.raises(error):
+        a - b
+
+
 def test_header_mismatches_and_hashing():
     s0 = generator(2, 0)
     with pytest.raises(BasisMismatch):

@@ -39,9 +39,13 @@ NEG_INF = float("-inf")
 
 
 class LaurentPoly:
-    """An element of Z[t, 1/t], stored as {exponent: nonzero coefficient}."""
+    """An element of Z[t, 1/t], stored as {exponent: nonzero coefficient}.
 
-    __slots__ = ("_c",)
+    A value is never changed after it is built, so its hash is computed on
+    first use and kept in a second slot.
+    """
+
+    __slots__ = ("_c", "_h")
 
     def __init__(self, coeffs: Mapping[int, int] | int = 0):
         if isinstance(coeffs, int):
@@ -65,7 +69,11 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        try:
+            return self._h
+        except AttributeError:
+            self._h = h = hash(frozenset(self._c.items()))
+            return h
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._c.items()))

@@ -206,6 +206,15 @@ def test_neg_t_substitution():
     assert p.neg_t().neg_t() == p
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(_polys, _polys)
+def test_hash_is_the_hash_of_the_coefficient_items(a, b):
+    # the stored hash is the value it always was, so dict and set order stay the same
+    for p in (a, b, a * b, a + b, a.bar()):
+        assert hash(p) == hash(frozenset(dict(p.items()).items())) == hash(p)
+    assert hash(a) == hash(LaurentPoly(dict(a.items())))
+
+
 def test_json_roundtrip():
     p = LaurentPoly({-1: 1, 1: 1})
     assert p.to_json() == {"-1": "1", "1": "1"}

@@ -11,7 +11,13 @@ The bar involution sends T_w to T_{w^{-1}}^{-1}.  That element is built once
 per w from a shorter one, by a single right multiplication by T_s^{-1} =
 q^{-1} T_s + (q^{-1} - 1) for s the lowest right descent of w, and is memoized;
 it uses the T-basis rule alone and never the KL layer, so bar(C_w) = C_w stays
-an independent oracle.
+an independent oracle.  The bar table holds it in code form: a tuple of
+integer codes, one per term d T_x, each the dense id of the pair of
+table-local ids of x and d (int-keyed tables, as in du Cloux's Coxeter).
+h_bar and psi share one kernel over it: the terms are grouped by equal
+coefficient f, the code rows of a group are counted by collections.Counter,
+in C, and each distinct code met n times adds n f d to the raw
+{exponent: coefficient} dict of its key once.
 
 Kazhdan-Lusztig polynomials are produced by the classical left-multiplication
 recursion: pick the lowest-index left descent s of w, combine P_{sy,sw} and
@@ -42,6 +48,9 @@ Polynomials in q are represented in t with even exponents throughout.
 from __future__ import annotations
 
 import functools
+import itertools
+import threading
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -103,17 +112,17 @@ def t_elt(w: AffPerm, coeff: "LaurentPoly | int" = 1) -> HeckeElt:
 # T-basis multiplication
 
 
-def _mul_gen_right(terms: Mapping[AffPerm, LaurentPoly], s: AffPerm, a: LaurentPoly,
-                   b: LaurentPoly) -> dict:
-    """Right-multiply a T-basis term dict by a T_s + b, for s a simple reflection.
+_Q_MINUS_ONE = Q - 1
+
+
+def _mul_gen_right(terms: Mapping[AffPerm, LaurentPoly], s: AffPerm) -> dict:
+    """Right-multiply a T-basis term dict by T_s, for s a simple reflection.
 
     x T_s = T_{xs} if xs > x, and q T_{xs} + (q - 1) T_x otherwise.
     """
-    aq, rest = a * Q, a * (Q - 1) + b
-
     def image(x: AffPerm):
         xs = x * s
-        return ((xs, a), (x, b)) if xs.length > x.length else ((xs, aq), (x, rest))
+        return ((xs, ONE),) if xs.length > x.length else ((xs, Q), (x, _Q_MINUS_ONE))
 
     return linear(terms, image)
 
@@ -126,7 +135,7 @@ def _mul_word_right(
         rho = affperm.rho(r, omega)
         terms = {w * rho: c for w, c in terms.items()}
     for i in word:
-        terms = _mul_gen_right(terms, affperm.generator(r, i), ONE, ZERO)
+        terms = _mul_gen_right(terms, affperm.generator(r, i))
     return terms
 
 
@@ -150,45 +159,134 @@ def h_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
 # Bar involution
 
 
-_TS_INV = (QINV, QINV - 1)  # T_s^{-1} = q^{-1} T_s + (q^{-1} - 1)
+class _Ids:
+    """Dense ids 0, 1, 2, ... for hashable keys; keys[i] is the key of id i.
+    A miss takes the lock, so two threads never give one key two ids."""
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.keys: list = []
+
+    def __call__(self, key) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            with _IDS_LOCK:
+                i = self.ids.get(key)
+                if i is None:
+                    self.keys.append(key)
+                    i = self.ids[key] = len(self.keys) - 1
+        return i
 
 
-_BAR: dict[AffPerm, HeckeElt] = {}
-# One object per distinct coefficient of the values in _BAR; a table of its
-# own, so the bar oracle shares nothing with the KL layer.
-_BAR_COEFFS: dict[LaurentPoly, LaurentPoly] = {}
+# The bar table: _ROWS[y] holds bar(T_y) = T_{y^{-1}}^{-1} as a tuple of codes,
+# one per term d T_x, where a code is the id of the pair (id of x, id of d).
+# The ids are table-local, so the bar oracle shares nothing with the KL layer;
+# each coefficient d is held once, as the key of its id.
+_IDS_LOCK = threading.Lock()
+_KEY_IDS, _COEFF_IDS, _CODES = _Ids(), _Ids(), _Ids()
+_ZERO_ID, _ONE_ID = _COEFF_IDS(ZERO), _COEFF_IDS(ONE)
+_ROWS: dict[AffPerm, tuple[int, ...]] = {}
+# (id of x, i) -> (id of x s_i, x s_i > x); (a, d) -> the id of q^{-1} d for
+# a None, else of a + (q^{-1} - 1) d; and f -> {id of d: the terms of f d}, one
+# entry per factor f the kernel has met
+_X_STEPS: dict[tuple[int, int], tuple[int, bool]] = {}
+_D_STEPS: dict[tuple, int] = {}
+_PRODUCT_TERMS: dict[LaurentPoly, dict[int, tuple]] = {}
 
 
-def _bar_t(w: AffPerm) -> HeckeElt:
-    """The element (T_{w^{-1}})^{-1} in the T-basis, memoized per w.
+def _x_step(x: int, i: int) -> tuple[int, bool]:
+    hit = _X_STEPS.get((x, i))
+    if hit is None:
+        u = _KEY_IDS.keys[x]
+        us = u * affperm.generator(u.r, i)
+        hit = _X_STEPS[x, i] = (_KEY_IDS(us), us.length > u.length)
+    return hit
+
+
+def _d_step(a: "int | None", d: int) -> int:
+    hit = _D_STEPS.get((a, d))
+    if hit is None:
+        coeffs = _COEFF_IDS.keys
+        p = coeffs[d] * QINV if a is None else coeffs[a] + coeffs[d] * (QINV - 1)
+        hit = _D_STEPS[a, d] = _COEFF_IDS(p)
+    return hit
+
+
+def _bar_row(w: AffPerm) -> tuple[int, ...]:
+    """The codes of T_{w^{-1}}^{-1}, built once per w.
 
     For s the lowest-index right descent of w, T_{w^{-1}}^{-1} equals
     T_{(ws)^{-1}}^{-1} T_s^{-1}; with no right descent w = rho^a is its own value.
-    The chain of such steps is walked down to a memoized element, then back
-    up, in a loop: its length is l(w), too deep for recursion.
+    The chain of such steps is walked down to a stored row, then back up, in a
+    loop: its length is l(w), too deep for recursion.  Each step maps T_x to
+    T_x T_s^{-1} = q^{-1} T_{xs} + (q^{-1} - 1) T_x if xs > x, else to T_{xs}.
     """
-    val = _BAR.get(w)
+    row = _ROWS.get(w)
     chain = []
-    while val is None and w.right_descents:
-        s = affperm.generator(w.r, min(w.right_descents))
-        chain.append((w, s))
-        w = w * s
-        val = _BAR.get(w)
-    if val is None:
-        val = _BAR[w] = HeckeElt(w.r, "T", {w: _BAR_COEFFS.setdefault(ONE, ONE)})
-    for v, s in reversed(chain):
-        terms = _mul_gen_right(val.terms, s, *_TS_INV)
-        val = _BAR[v] = HeckeElt(v.r, "T", {x: _BAR_COEFFS.setdefault(c, c)
-                                            for x, c in terms.items()})
-    return val
+    while row is None and w.right_descents:
+        i = min(w.right_descents)
+        chain.append((w, i))
+        w = w * affperm.generator(w.r, i)
+        row = _ROWS.get(w)
+    if row is None:
+        row = _ROWS.setdefault(w, (_CODES((_KEY_IDS(w), _ONE_ID)),))
+    pairs = _CODES.keys
+    for v, i in reversed(chain):
+        old = dict(map(pairs.__getitem__, row))
+        new = {}
+        for x, d in old.items():
+            xs, up = _X_STEPS.get((x, i)) or _x_step(x, i)
+            if up:
+                new[xs] = _d_step(None, d)
+                new[x] = _d_step(old.get(xs, _ZERO_ID), d)
+            elif xs not in old:
+                new[xs] = d
+        row = _ROWS.setdefault(v, tuple(_CODES(p) for p in new.items() if p[1] != _ZERO_ID))
+    return row
+
+
+def _bar_t(w: AffPerm) -> HeckeElt:
+    """The element (T_{w^{-1}})^{-1} in the T-basis, read from the bar table."""
+    keys, coeffs, pairs = _KEY_IDS.keys, _COEFF_IDS.keys, _CODES.keys
+    return HeckeElt(w.r, "T", {keys[x]: coeffs[d] for x, d in map(pairs.__getitem__, _bar_row(w))})
+
+
+def _bar_sum(r: int, factors: Mapping[AffPerm, LaurentPoly]) -> HeckeElt:
+    """sum_y f_y T_{y^{-1}}^{-1} for factors {y: f_y}: the kernel of h_bar and psi.
+
+    The rows of the y are grouped by equal f_y, and the codes of each group's
+    rows are counted by collections.Counter, in C.  A distinct code of (x, d)
+    met n times then adds n f d to the {exponent: coefficient} dict of x once;
+    one LaurentPoly per x is built at the end.
+    """
+    groups: dict[LaurentPoly, list[tuple[int, ...]]] = {}
+    for y, f in factors.items():
+        groups.setdefault(f, []).append(_ROWS.get(y) or _bar_row(y))
+    pairs, coeffs = _CODES.keys, _COEFF_IDS.keys
+    acc: dict[int, dict[int, int]] = {}
+    for f, rows in groups.items():
+        products = _PRODUCT_TERMS.get(f) or _PRODUCT_TERMS.setdefault(f, {})
+        for code, n in Counter(itertools.chain.from_iterable(rows)).items():
+            x, d = pairs[code]
+            fd = products.get(d)
+            if fd is None:
+                fd = products[d] = tuple((f * coeffs[d]).items())
+            row = acc.get(x)
+            if row is None:
+                row = acc[x] = {}
+            for e, c in fd:
+                row[e] = row.get(e, 0) + n * c
+    keys = _KEY_IDS.keys
+    return HeckeElt(r, "T", {keys[x]: p for x, row in acc.items() if (p := LaurentPoly(row))})
 
 
 def h_bar(a: HeckeElt) -> HeckeElt:
     """The bar involution: coefficients bar'd, T_w replaced by T_{w^{-1}}^{-1}."""
     if a.basis != "T":
         raise BasisMismatch("h_bar acts on T-basis elements")
-    barred = {w: c.bar() for w, c in a.terms.items()}
-    return HeckeElt(a.r, "T", linear(barred, lambda w: _bar_t(w).terms.items()))
+    bars: dict[LaurentPoly, LaurentPoly] = {}  # each distinct coefficient is bar'd once
+    return _bar_sum(a.r, {w: bars.get(c) or bars.setdefault(c, c.bar())
+                          for w, c in a.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +547,8 @@ def psi(a: HeckeElt) -> HeckeElt:
     """The automorphism Psi: t -> -t, T_x -> (-q)^{l(x)} T_{x^{-1}}^{-1}."""
     if a.basis != "T":
         raise BasisMismatch("psi acts on T-basis elements")
-    factors = {
-        w: c.neg_t() * t_pow(2 * w.length, -1 if w.length % 2 else 1)
-        for w, c in a.terms.items()
-    }
-    return HeckeElt(a.r, "T", linear(factors, lambda w: _bar_t(w).terms.items()))
+    return _bar_sum(a.r, {w: c.neg_t() * t_pow(2 * w.length, -1 if w.length % 2 else 1)
+                          for w, c in a.terms.items()})
 
 
 def is_in_H_IJ(a: HeckeElt, lam: Composition, mu: Composition) -> bool:

@@ -6,10 +6,13 @@ and positivity/symmetry of the structure constants as further cross-checks.
 """
 
 import inspect
+import itertools
 import json
+import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -133,7 +136,7 @@ def test_bar_t_matches_reduced_word_oracle(r, L):
 def test_bar_t_walks_long_chains_without_recursion():
     # 120 uncached steps down to rho^0 would need 120 nested calls
     w = from_word(2, 0, [0, 1] * 60)
-    hecke._BAR.clear()
+    hecke._ROWS.clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
@@ -175,7 +178,9 @@ def test_memo_values_and_ideal_elements_are_shared():
     ideals = [affperm.bruhat_lower(w) for w in ws]
     _assert_shared(y for ideal in ideals for y in ideal)
     assert all(h_bar(c_elt(w)) == c_elt(w) for w in ws)
-    _assert_shared(c for bar in hecke._BAR.values() for c in bar.terms.values())
+    # the bar table holds each coefficient once, and bar(T_y) reads those objects
+    coeffs = hecke._COEFF_IDS.keys
+    _assert_shared(itertools.chain(coeffs, (c for y in ws for c in hecke._bar_t(y).terms.values())))
     stats = hecke.kl_memo_stats()
     assert stats["distinct_polys"] < 20 < stats["entries"]
     assert stats["shared_elements"] >= len(ws)
@@ -217,6 +222,38 @@ def test_h_expansion_hands_out_the_stored_product_read_only():
     with pytest.raises(TypeError):
         exp[x] = ONE
     assert exp == _t_basis_route(x, y)
+
+
+def test_threads_barring_new_elements_share_one_id_table():
+    # more threads than cores, each barring its own new elements (rows no other
+    # test builds) under a 1 us switch interval; a lost race in an id table
+    # would give one key two ids, or a code naming another pair
+    count = (os.cpu_count() or 1) + 2
+    ws = ball(3, 4)
+    jobs = [[c_elt(w.shift(40 + k)) for w in ws] for k in range(count)]
+    results = [[] for _ in jobs]
+    start = threading.Barrier(count)
+
+    def run(job, out):
+        start.wait()
+        out.extend(h_bar(a) for a in job)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(jobs, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for job, out in zip(jobs, results):
+        assert out == [_h_bar_by_word(a) for a in job] == job
+    for table in (hecke._KEY_IDS, hecke._COEFF_IDS, hecke._CODES):
+        assert len(table.ids) == len(table.keys)
+        assert all(table.ids[key] == i for i, key in enumerate(table.keys))
 
 
 @st.composite

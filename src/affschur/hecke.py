@@ -11,13 +11,10 @@ The bar involution sends T_w to T_{w^{-1}}^{-1}.  That element is built once
 per w from a shorter one, by a single right multiplication by T_s^{-1} =
 q^{-1} T_s + (q^{-1} - 1) for s the lowest right descent of w, and is memoized;
 it uses the T-basis rule alone and never the KL layer, so bar(C_w) = C_w stays
-an independent oracle.  The bar table holds it in code form: a tuple of
-integer codes, one per term d T_x, each the dense id of the pair of
-table-local ids of x and d (int-keyed tables, as in du Cloux's Coxeter).
-h_bar and psi share one kernel over it: the terms are grouped by equal
-coefficient f, the code rows of a group are counted by collections.Counter,
-in C, and each distinct code met n times adds n f d to the raw
-{exponent: coefficient} dict of its key once.
+an independent oracle.  The table holds it as integer codes, one per term
+d T_x, naming x and d by table-local dense ids (int-keyed, as du Cloux's tables
+are).  h_bar and psi share one kernel: the terms are grouped by equal
+coefficient, the codes of a group counted in C, and each distinct code summed once.
 
 Kazhdan-Lusztig polynomials are produced by the classical left-multiplication
 recursion: pick the lowest-index left descent s of w, combine P_{sy,sw} and
@@ -51,7 +48,7 @@ import functools
 import itertools
 import threading
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -115,34 +112,21 @@ def t_elt(w: AffPerm, coeff: "LaurentPoly | int" = 1) -> HeckeElt:
 _Q_MINUS_ONE = Q - 1
 
 
-def _mul_gen_right(terms: Mapping[AffPerm, LaurentPoly], s: AffPerm) -> dict:
-    """Right-multiply a T-basis term dict by T_s, for s a simple reflection.
-
-    x T_s = T_{xs} if xs > x, and q T_{xs} + (q - 1) T_x otherwise.
-    """
-    def image(x: AffPerm):
-        xs = x * s
-        return ((xs, ONE),) if xs.length > x.length else ((xs, Q), (x, _Q_MINUS_ONE))
-
-    return linear(terms, image)
-
-
-def _mul_word_right(
-    terms: dict[AffPerm, LaurentPoly], r: int, omega: int, word: Iterable[int]
-) -> dict:
-    """Right-multiply by T_{rho^omega} then by T_{s_i} for each letter."""
-    if omega:
-        rho = affperm.rho(r, omega)
-        terms = {w * rho: c for w, c in terms.items()}
-    for i in word:
-        terms = _mul_gen_right(terms, affperm.generator(r, i))
-    return terms
-
-
 @functools.lru_cache(maxsize=None)
 def _t_product(u: AffPerm, v: AffPerm) -> HeckeElt:
+    """T_u T_v: T_u T_{rho^omega}, then times T_s for each letter s of the reduced
+    word of v; x T_s = T_{xs} if xs > x, and q T_{xs} + (q - 1) T_x otherwise."""
     omega, word = v.reduced_word()
-    return HeckeElt(u.r, "T", _mul_word_right({u: ONE}, u.r, omega, word))
+    terms = {u * affperm.rho(u.r, omega): ONE}
+    for i in word:
+        s = affperm.generator(u.r, i)
+
+        def image(x: AffPerm):
+            xs = x * s
+            return ((xs, ONE),) if xs.length > x.length else ((xs, Q), (x, _Q_MINUS_ONE))
+
+        terms = linear(terms, image)
+    return HeckeElt(u.r, "T", terms)
 
 
 def h_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
@@ -159,56 +143,49 @@ def h_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
 # Bar involution
 
 
-class _Ids:
-    """Dense ids 0, 1, 2, ... for hashable keys; keys[i] is the key of id i.
-    A miss takes the lock, so two threads never give one key two ids."""
+class _Ids(dict):
+    """Dense ids 0, 1, 2, ... for hashable keys, and of[i], the key of id i.  A
+    miss assigns the next id under the lock: no key gets two ids."""
 
     def __init__(self):
-        self.ids: dict = {}
-        self.keys: list = []
+        super().__init__()
+        self.of: list = []
 
-    def __call__(self, key) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            with _IDS_LOCK:
-                i = self.ids.get(key)
-                if i is None:
-                    self.keys.append(key)
-                    i = self.ids[key] = len(self.keys) - 1
-        return i
+    def __missing__(self, key) -> int:
+        with _IDS_LOCK:
+            if key not in self:
+                self.of.append(key)
+                self[key] = len(self.of) - 1
+        return self[key]
 
 
-# The bar table: _ROWS[y] holds bar(T_y) = T_{y^{-1}}^{-1} as a tuple of codes,
-# one per term d T_x, where a code is the id of the pair (id of x, id of d).
-# The ids are table-local, so the bar oracle shares nothing with the KL layer;
-# each coefficient d is held once, as the key of its id.
+# The bar table: _ROWS[y] holds T_{y^{-1}}^{-1} as a tuple of codes, one per
+# term d T_x, a code being the id of the pair (id of x, id of d).  The ids are
+# table-local: the bar oracle shares nothing with the KL layer.  Memos:
+# (id of x, i) -> (id of x s_i, x s_i > x); (a, d) -> the id of q^{-1} d for a
+# None, else of a + (q^{-1} - 1) d; f -> {id of d: terms of f d}, per factor f met.
 _IDS_LOCK = threading.Lock()
 _KEY_IDS, _COEFF_IDS, _CODES = _Ids(), _Ids(), _Ids()
-_ZERO_ID, _ONE_ID = _COEFF_IDS(ZERO), _COEFF_IDS(ONE)
+_ZERO_ID, _ONE_ID = _COEFF_IDS[ZERO], _COEFF_IDS[ONE]
 _ROWS: dict[AffPerm, tuple[int, ...]] = {}
-# (id of x, i) -> (id of x s_i, x s_i > x); (a, d) -> the id of q^{-1} d for
-# a None, else of a + (q^{-1} - 1) d; and f -> {id of d: the terms of f d}, one
-# entry per factor f the kernel has met
 _X_STEPS: dict[tuple[int, int], tuple[int, bool]] = {}
 _D_STEPS: dict[tuple, int] = {}
 _PRODUCT_TERMS: dict[LaurentPoly, dict[int, tuple]] = {}
 
 
 def _x_step(x: int, i: int) -> tuple[int, bool]:
-    hit = _X_STEPS.get((x, i))
-    if hit is None:
-        u = _KEY_IDS.keys[x]
-        us = u * affperm.generator(u.r, i)
-        hit = _X_STEPS[x, i] = (_KEY_IDS(us), us.length > u.length)
-    return hit
+    u = _KEY_IDS.of[x]
+    us = u * affperm.generator(u.r, i)
+    step = _X_STEPS[x, i] = (_KEY_IDS[us], us.length > u.length)
+    return step
 
 
 def _d_step(a: "int | None", d: int) -> int:
     hit = _D_STEPS.get((a, d))
     if hit is None:
-        coeffs = _COEFF_IDS.keys
+        coeffs = _COEFF_IDS.of
         p = coeffs[d] * QINV if a is None else coeffs[a] + coeffs[d] * (QINV - 1)
-        hit = _D_STEPS[a, d] = _COEFF_IDS(p)
+        hit = _D_STEPS[a, d] = _COEFF_IDS[p]
     return hit
 
 
@@ -229,8 +206,8 @@ def _bar_row(w: AffPerm) -> tuple[int, ...]:
         w = w * affperm.generator(w.r, i)
         row = _ROWS.get(w)
     if row is None:
-        row = _ROWS.setdefault(w, (_CODES((_KEY_IDS(w), _ONE_ID)),))
-    pairs = _CODES.keys
+        row = _ROWS.setdefault(w, (_CODES[_KEY_IDS[w], _ONE_ID],))
+    pairs = _CODES.of
     for v, i in reversed(chain):
         old = dict(map(pairs.__getitem__, row))
         new = {}
@@ -241,28 +218,24 @@ def _bar_row(w: AffPerm) -> tuple[int, ...]:
                 new[x] = _d_step(old.get(xs, _ZERO_ID), d)
             elif xs not in old:
                 new[xs] = d
-        row = _ROWS.setdefault(v, tuple(_CODES(p) for p in new.items() if p[1] != _ZERO_ID))
+        row = _ROWS.setdefault(v, tuple(_CODES[p] for p in new.items() if p[1] != _ZERO_ID))
     return row
 
 
 def _bar_t(w: AffPerm) -> HeckeElt:
     """The element (T_{w^{-1}})^{-1} in the T-basis, read from the bar table."""
-    keys, coeffs, pairs = _KEY_IDS.keys, _COEFF_IDS.keys, _CODES.keys
+    keys, coeffs, pairs = _KEY_IDS.of, _COEFF_IDS.of, _CODES.of
     return HeckeElt(w.r, "T", {keys[x]: coeffs[d] for x, d in map(pairs.__getitem__, _bar_row(w))})
 
 
 def _bar_sum(r: int, factors: Mapping[AffPerm, LaurentPoly]) -> HeckeElt:
     """sum_y f_y T_{y^{-1}}^{-1} for factors {y: f_y}: the kernel of h_bar and psi.
-
-    The rows of the y are grouped by equal f_y, and the codes of each group's
-    rows are counted by collections.Counter, in C.  A distinct code of (x, d)
-    met n times then adds n f d to the {exponent: coefficient} dict of x once;
-    one LaurentPoly per x is built at the end.
-    """
+    The codes of the rows of one f are counted in C (collections.Counter), and
+    a code of (x, d) met n times adds n f d to the exponent dict of x once."""
     groups: dict[LaurentPoly, list[tuple[int, ...]]] = {}
     for y, f in factors.items():
         groups.setdefault(f, []).append(_ROWS.get(y) or _bar_row(y))
-    pairs, coeffs = _CODES.keys, _COEFF_IDS.keys
+    pairs, coeffs = _CODES.of, _COEFF_IDS.of
     acc: dict[int, dict[int, int]] = {}
     for f, rows in groups.items():
         products = _PRODUCT_TERMS.get(f) or _PRODUCT_TERMS.setdefault(f, {})
@@ -276,7 +249,7 @@ def _bar_sum(r: int, factors: Mapping[AffPerm, LaurentPoly]) -> HeckeElt:
                 row = acc[x] = {}
             for e, c in fd:
                 row[e] = row.get(e, 0) + n * c
-    keys = _KEY_IDS.keys
+    keys = _KEY_IDS.of
     return HeckeElt(r, "T", {keys[x]: p for x, row in acc.items() if (p := LaurentPoly(row))})
 
 

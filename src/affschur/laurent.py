@@ -39,13 +39,9 @@ NEG_INF = float("-inf")
 
 
 class LaurentPoly:
-    """An element of Z[t, 1/t], stored as {exponent: nonzero coefficient}.
+    """An element of Z[t, 1/t], stored as {exponent: nonzero coefficient}."""
 
-    A value is never changed after it is built, so its hash is computed on
-    first use and kept in a second slot.
-    """
-
-    __slots__ = ("_c", "_h")
+    __slots__ = ("_c", "_h")  # _h: the hash, kept on first use (a value never changes)
 
     def __init__(self, coeffs: Mapping[int, int] | int = 0):
         if isinstance(coeffs, int):
@@ -371,7 +367,6 @@ class Combination:
         return replace(self, terms=terms)
 
     def __sub__(self, other):
-        self._check_compatible(other)
         return self + other.scale(-1)
 
     def scale(self, c: "LaurentPoly | int"):

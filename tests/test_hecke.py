@@ -179,7 +179,7 @@ def test_memo_values_and_ideal_elements_are_shared():
     _assert_shared(y for ideal in ideals for y in ideal)
     assert all(h_bar(c_elt(w)) == c_elt(w) for w in ws)
     # the bar table holds each coefficient once, and bar(T_y) reads those objects
-    coeffs = hecke._COEFF_IDS.keys
+    coeffs = hecke._COEFF_IDS.of
     _assert_shared(itertools.chain(coeffs, (c for y in ws for c in hecke._bar_t(y).terms.values())))
     stats = hecke.kl_memo_stats()
     assert stats["distinct_polys"] < 20 < stats["entries"]
@@ -252,8 +252,8 @@ def test_threads_barring_new_elements_share_one_id_table():
     for job, out in zip(jobs, results):
         assert out == [_h_bar_by_word(a) for a in job] == job
     for table in (hecke._KEY_IDS, hecke._COEFF_IDS, hecke._CODES):
-        assert len(table.ids) == len(table.keys)
-        assert all(table.ids[key] == i for i, key in enumerate(table.keys))
+        assert len(table) == len(table.of)
+        assert all(table[key] == i for i, key in enumerate(table.of))
 
 
 @st.composite

@@ -225,18 +225,20 @@ def test_h_expansion_hands_out_the_stored_product_read_only():
 
 
 def test_threads_barring_new_elements_share_one_id_table():
-    # more threads than cores, each barring its own new elements (rows no other
-    # test builds) under a 1 us switch interval; a lost race in an id table
-    # would give one key two ids, or a code naming another pair
+    # more threads than cores under a 1 us switch interval bar disjoint new
+    # elements: in each round, their shares of a ball under a rho power no other
+    # test uses, so their rows meet the same new keys at once.  A lost race in an
+    # id table gives one key two ids, or a code naming another pair.
     count = (os.cpu_count() or 1) + 2
-    ws = ball(3, 4)
-    jobs = [[c_elt(w.shift(40 + k)) for w in ws] for k in range(count)]
+    rounds = [[w.shift(a) for w in ball(3, 4)] for a in range(40, 80)]
+    jobs = [[[c_elt(w) for w in ws[k::count]] for ws in rounds] for k in range(count)]
     results = [[] for _ in jobs]
     start = threading.Barrier(count)
 
     def run(job, out):
-        start.wait()
-        out.extend(h_bar(a) for a in job)
+        for part in job:
+            start.wait(timeout=60)
+            out.extend(h_bar(a) for a in part)
 
     threads = [threading.Thread(target=run, args=pair) for pair in zip(jobs, results)]
     interval = sys.getswitchinterval()
@@ -250,7 +252,7 @@ def test_threads_barring_new_elements_share_one_id_table():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for job, out in zip(jobs, results):
-        assert out == [_h_bar_by_word(a) for a in job] == job
+        assert out == [_h_bar_by_word(a) for part in job for a in part]
     for table in (hecke._KEY_IDS, hecke._COEFF_IDS, hecke._CODES):
         assert len(table) == len(table.of)
         assert all(table[key] == i for i, key in enumerate(table.of))

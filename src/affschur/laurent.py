@@ -11,6 +11,8 @@ Both run one fused multiply-accumulate kernel: the products c_k * d are summed
 into raw {exponent: coefficient} dicts, one per output key, and a LaurentPoly
 is built per key only at the end.  An image coefficient may be a plain int,
 read as a constant polynomial.  ``peel`` inverts a triangular change of basis.
+The bar kernel of ``hecke`` sums into the same raw dicts from integer codes; it
+groups by coefficient, and a LaurentPoly keeps its hash once computed.
 
 >>> p = T + T**-1
 >>> p * p == T**2 + 2 + T**-2
@@ -367,6 +369,7 @@ class Combination:
         return replace(self, terms=terms)
 
     def __sub__(self, other):
+        self._check_compatible(other)
         return self + other.scale(-1)
 
     def scale(self, c: "LaurentPoly | int"):

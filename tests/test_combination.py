@@ -128,6 +128,8 @@ def test_elements_of_different_kinds_do_not_add(left, right):
         a + b
     with pytest.raises(error):
         a - b
+    with pytest.raises(BasisMismatch):
+        a - 1
 
 
 def test_header_mismatches_and_hashing():

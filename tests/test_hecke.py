@@ -346,6 +346,61 @@ def test_kl_poly_examples():
     assert kl_poly(S0, S1) == ZERO
 
 
+_REFERENCE_KL: dict = {}
+
+
+def _kl_by_pairs(y, w):
+    """P_{y,w} for y, w in W', one pair at a time, by the left-multiplication
+    recursion of Kazhdan-Lusztig: for s the lowest left descent of w and v = sw,
+    P_{y,w} = q^{1-c} P_{sy,v} + q^c P_{y,v} - sum mu(z,v) t^{l(w)-l(z)} P_{y,z}
+    over z < v with sz < z and y <= z, where c = 1 if sy < y and c = 0 otherwise."""
+    key = (y, w)
+    if key in _REFERENCE_KL:
+        return _REFERENCE_KL[key]
+    if y == w:
+        val = ONE
+    elif not bruhat_leq(y, w):
+        val = ZERO
+    else:
+        i = min(w.left_descents)
+        s = generator(w.r, i)
+        v = s * w
+        down = i in y.left_descents
+        val = _kl_by_pairs(s * y, v) * (ONE if down else Q) + _kl_by_pairs(y, v) * (Q if down else ONE)
+        for z in affperm.bruhat_lower(v):
+            d = v.length - z.length
+            if d % 2 and i in z.left_descents and bruhat_leq(y, z):
+                mu = _kl_by_pairs(z, v).coeff(d - 1)
+                if mu:
+                    val = val - mu * t_pow(w.length - z.length) * _kl_by_pairs(y, z)
+    _REFERENCE_KL[key] = val
+    return val
+
+
+@st.composite
+def kl_queries(draw):
+    """w in W' at r = 2..5 with l(w) <= 8, a rho-shift, and elements y not below w."""
+    r = draw(st.integers(2, 5))
+    words = st.lists(st.integers(0, r - 1), max_size=8)
+    w = from_word(r, 0, draw(words))
+    others = [from_word(r, 0, word) for word in draw(st.lists(words, max_size=4))]
+    return w, draw(st.integers(-2, 2)), [y for y in others if not bruhat_leq(y, w)]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@example((from_word(3, 0, [0, 1, 2, 0, 1, 2, 0, 1]), 1, [from_word(3, 0, [2, 1, 0, 2])]))
+@given(kl_queries())
+def test_kl_poly_matches_the_per_pair_recursion(query):
+    w, a, above = query
+    shifted = w.shift(a)
+    for y in affperm.bruhat_lower(w):
+        assert kl_poly(y.shift(a), shifted) == _kl_by_pairs(y, w), (y, w)
+        # another rho part is never below w
+        assert kl_poly(y.shift(a + 1), shifted) == ZERO
+    for y in above:
+        assert kl_poly(y.shift(a), shifted) == ZERO == _kl_by_pairs(y, w), (y, w)
+
+
 def test_kl_poly_rho_twist_invariance():
     for w in ball(2, 4):
         for y in ball(2, 4):

@@ -216,8 +216,7 @@ def _bar_row(w: AffPerm) -> tuple[int, ...]:
             if up:
                 new[xs] = _d_step(None, d)
                 new[x] = _d_step(old.get(xs, _ZERO_ID), d)
-            elif xs not in old:
-                new[xs] = d
+            # else T_x T_s^{-1} = T_xs, added at xs: xs < x lies in [e, ws], the row's support
         row = _ROWS.setdefault(v, tuple(_CODES[p] for p in new.items() if p[1] != _ZERO_ID))
     return row
 
@@ -265,14 +264,24 @@ def h_bar(a: HeckeElt) -> HeckeElt:
 # ---------------------------------------------------------------------------
 # Kazhdan-Lusztig polynomials
 
-# One row per w: _KL[w][y] = P_{y,w}.  A row is created with setdefault and
-# an entry stored with setdefault, so threads sharing the memo lose nothing.
+# One row per w: _KL[w][y] = P_{y,w}.  A row is full once it holds every y <= w
+# (_FULL); rows are created with setdefault and records merged with setdefault,
+# so threads sharing the memo lose nothing.
 _KL: dict[AffPerm, dict[AffPerm, LaurentPoly]] = {}
+_FULL: set[AffPerm] = set()
 _KL_STATS = {"hits": 0, "computed": 0, "loaded": 0}
-# One object per distinct memo value (most records are 0, 1 or 1 + q), and one
-# per coefficient t^{-l} P of C_w; LaurentPoly values are never mutated in place.
-_POLYS: dict[LaurentPoly, LaurentPoly] = {}
+# One object per distinct value (most records are 0, 1 or 1 + q), and one per
+# coefficient t^{-l} P of C_w; LaurentPoly values are never mutated in place.
+_POLYS: dict[LaurentPoly, LaurentPoly] = {ZERO: ZERO, ONE: ONE}
 _C_COEFFS: dict[tuple[LaurentPoly, int], LaurentPoly] = {}
+# The row kernel's memos, keyed by the ids of interned values (held for good in
+# _POLYS): (P_{sy,v}, P_{y,v}, sy < y) -> the step-1 value; (value, mu, k,
+# P_{y,z}) -> value - mu t^k P_{y,z}; (y, i) -> (s_i y, s_i y < y); and each
+# value -> its t-degree if kl_shaped, else infinity.
+_STEPS: dict[tuple[int, int, bool], LaurentPoly] = {}
+_CORRECTIONS: dict[tuple[int, int, int, int], LaurentPoly] = {}
+_LEFT: dict[tuple[AffPerm, int], tuple[AffPerm, bool]] = {}
+_DEGREES: dict[int, "int | float"] = {}
 
 
 def _intern(p: LaurentPoly) -> LaurentPoly:
@@ -284,8 +293,10 @@ def _row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
 
 
 def kl_memo_stats() -> dict:
-    return dict(_KL_STATS, entries=sum(map(len, list(_KL.values()))), distinct_polys=len(_POLYS),
-                shared_elements=affperm.shared_elements())
+    return dict(_KL_STATS, entries=sum(map(len, list(_KL.values()))), full_rows=len(_FULL),
+                distinct_polys=len(_POLYS), shared_elements=affperm.shared_elements(),
+                kernel_memos={"steps": len(_STEPS), "corrections": len(_CORRECTIONS),
+                              "left": len(_LEFT), "degrees": len(_DEGREES)})
 
 
 def kl_memo() -> dict[tuple[AffPerm, AffPerm], LaurentPoly]:
@@ -327,28 +338,113 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
     if hit is not None:
         _KL_STATS["hits"] += 1
         return hit
-    if y == w:
-        val = ONE
-    elif y not in bruhat_lower(w):
-        val = ZERO
-    else:
-        i = min(w.left_descents)
-        s = affperm.generator(w.r, i)
-        v = s * w
-        sy = s * y
-        if i in y.left_descents:
-            val = _kl(sy, v) + Q * _kl(y, v)
+    if y not in bruhat_lower(w):
+        return ZERO
+    return _kl_row(w)[y]
+
+
+def _full(w: AffPerm) -> bool:
+    """Whether the row of w holds every y <= w; a loaded row is checked once."""
+    if w in _FULL:
+        return True
+    row = _KL.get(w)
+    if row is None or not row.keys() >= bruhat_lower(w):
+        return False
+    _FULL.add(w)
+    return True
+
+
+def _kl_row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
+    """The full row y -> P_{y,w} of w in W', filled first if need be.
+
+    A row is filled from full rows: that of v = sw, s the lowest left descent
+    of w, and that of each z in the mu-list of v with sz < z.  An explicit work
+    stack makes those full first, in place of a recursion l(w) deep."""
+    stack = [w]
+    while stack:
+        u = stack[-1]
+        if _full(u):
+            stack.pop()
+        elif u.is_identity():
+            _merge(u, {u: ONE})
         else:
-            val = Q * _kl(sy, v) + _kl(y, v)
-        for z, mu in _mu_list(v):
-            if i in z.left_descents and y in bruhat_lower(z):
-                val = val - mu * t_pow(w.length - z.length) * _kl(y, z)
-        # P_{y,w} has q-degree <= (l(w) - l(y) - 1)/2
-        if not kl_shaped(val) or val.degree() > w.length - y.length - 1:
-            raise KLInvariantViolation(f"KL recursion violated degree bounds at {(y, w)}: {val!r}")
-    val = _row(w).setdefault(y, _intern(val))
-    _KL_STATS["computed"] += 1
-    return val
+            i = min(u.left_descents)
+            v = affperm.generator(u.r, i) * u
+            if not _full(v):
+                stack.append(v)
+                continue
+            zs = [(z, mu) for z, mu in _mu_list(v) if i in z.left_descents]
+            todo = [z for z, _ in zs if not _full(z)]
+            if todo:
+                stack += todo
+            else:
+                _fill_row(u, i, v, zs)
+    return _KL[w]
+
+
+def _fill_row(w: AffPerm, i: int, v: AffPerm, zs: list[tuple[AffPerm, int]]) -> None:
+    """Fill the row of w in one pass: for s = s_i, P_{y,w} = P_{sy,v} + q P_{y,v}
+    if sy < y, else q P_{sy,v} + P_{y,v}, less mu(z,v) t^{l(w)-l(z)} P_{y,z} read
+    off each full row z in zs over its ideal [e, z] (no test y <= z per pair)."""
+    lower = bruhat_lower(w)
+    prev = _KL[v]
+    # the y in [e, w] outside [e, v] enter the row of v as zero records
+    zeros = [y for y in lower if y not in prev]
+    for y in zeros:
+        prev.setdefault(y, ZERO)
+    _KL_STATS["computed"] += len(zeros)
+    new = {}
+    for y in lower:
+        sy, down = _LEFT.get((y, i)) or _left(y, i)
+        a, b = prev[sy], prev[y]
+        p = _STEPS.get((id(a), id(b), down))
+        new[y] = _step(a, b, down) if p is None else p
+    lw = w.length
+    for z, mu in zs:
+        k = lw - z.length
+        row = _KL[z]
+        for y in bruhat_lower(z):
+            val, p = new[y], row[y]
+            c = _CORRECTIONS.get((id(val), mu, k, id(p)))
+            new[y] = _correct(val, mu, k, p) if c is None else c
+    for y, p in new.items():
+        # P_{y,w} for y < w is kl_shaped, of q-degree <= (l(w) - l(y) - 1)/2
+        d = _DEGREES.get(id(p))
+        if d is None:
+            d = _DEGREES[id(p)] = p.degree() if kl_shaped(p) else float("inf")
+        if d > lw - y.length - 1 and y is not w:
+            raise KLInvariantViolation(f"KL recursion violated degree bounds at {(y, w)}: {p!r}")
+    _merge(w, new)
+
+
+def _left(y: AffPerm, i: int) -> tuple[AffPerm, bool]:
+    sy = affperm.generator(y.r, i) * y
+    step = _LEFT[y, i] = (sy, sy.length < y.length)
+    return step
+
+
+def _step(a: LaurentPoly, b: LaurentPoly, down: bool) -> LaurentPoly:
+    p = _STEPS[id(a), id(b), down] = _intern(a + Q * b if down else Q * a + b)
+    return p
+
+
+def _correct(val: LaurentPoly, mu: int, k: int, p: LaurentPoly) -> LaurentPoly:
+    c = _CORRECTIONS[id(val), mu, k, id(p)] = _intern(val - p * t_pow(k, mu))
+    return c
+
+
+def _merge(w: AffPerm, new: dict[AffPerm, LaurentPoly]) -> None:
+    """Store a filled row: a record already there (loaded, or stored by another
+    thread) stays; the row is then full."""
+    row = _row(w)
+    before = len(row)
+    if before:
+        for y, p in new.items():
+            row.setdefault(y, p)
+    else:
+        row.update(new)
+    _KL_STATS["computed"] += len(row) - before
+    _FULL.add(w)
 
 
 def kl_shaped(p: LaurentPoly) -> bool:
@@ -359,12 +455,12 @@ def kl_shaped(p: LaurentPoly) -> bool:
 @functools.lru_cache(maxsize=None)
 def _mu_list(w: AffPerm) -> tuple[tuple[AffPerm, int], ...]:
     """The nonzero mu(z, w) with z < w and l(w) - l(z) odd; w lies in W'."""
-    lw = w.length
+    row, lw = _kl_row(w), w.length
     out = []
     for z in bruhat_lower(w):
         d = lw - z.length
         if d % 2:
-            mu = _kl(z, w).coeff(d - 1)
+            mu = row[z].coeff(d - 1)
             if mu:
                 out.append((z, mu))
     return tuple(out)
@@ -383,8 +479,11 @@ def kl_mu(y: AffPerm, w: AffPerm) -> int:
 def c_elt(w: AffPerm) -> HeckeElt:
     """C_w = t^{-l(w)} sum_{y <= w} P_{y,w}(q) T_y, in the T-basis."""
     a, u = w.omega_split()
-    lu = u.length
-    return HeckeElt(w.r, "T", {y.shift(a): _c_coeff(_kl(y, u), lu) for y in bruhat_lower(u)})
+    lower, lu = bruhat_lower(u), u.length
+    if _full(u):
+        _KL_STATS["hits"] += len(lower)
+    row = _kl_row(u)
+    return HeckeElt(w.r, "T", {y.shift(a): _c_coeff(row[y], lu) for y in lower})
 
 
 def _c_coeff(p: LaurentPoly, length: int) -> LaurentPoly:

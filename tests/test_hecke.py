@@ -162,6 +162,34 @@ def test_lower_ideal_walks_long_chains_without_recursion():
     assert lower == set(ball(2, 119)) | {w}
 
 
+# A fresh process, so the KL memo is cold: the row of w needs the rows of all
+# 119 shorter elements of its descent chain, which a recursion per letter would
+# walk as at least 119 nested calls.
+_KL_CHAIN = """
+import inspect, sys
+from affschur import hecke
+from affschur.affperm import bruhat_lower, from_word
+from affschur.laurent import t_pow
+w = from_word(2, 0, [0, 1] * 60)
+limit = sys.getrecursionlimit()
+sys.setrecursionlimit(len(inspect.stack()) + 40)
+try:
+    c = hecke.c_elt(w)
+finally:
+    sys.setrecursionlimit(limit)
+# in type A~1 every P_{y,w} with y <= w is 1, so C_w = t^{-l(w)} sum_{y <= w} T_y
+assert c == hecke.HeckeElt(2, "T", {y: t_pow(-w.length) for y in bruhat_lower(w)})
+print(w.length, len(c.terms))
+"""
+
+
+def test_kl_rows_fill_long_chains_without_recursion():
+    proc = subprocess.run([sys.executable, "-c", _KL_CHAIN], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["120", "240"]
+
+
 def _assert_shared(values):
     """Equal values among these are one object."""
     first = {}
@@ -365,8 +393,8 @@ def _kl_by_pairs(y, w):
         i = min(w.left_descents)
         s = generator(w.r, i)
         v = s * w
-        down = i in y.left_descents
-        val = _kl_by_pairs(s * y, v) * (ONE if down else Q) + _kl_by_pairs(y, v) * (Q if down else ONE)
+        a, b = _kl_by_pairs(s * y, v), _kl_by_pairs(y, v)
+        val = a + Q * b if i in y.left_descents else Q * a + b
         for z in affperm.bruhat_lower(v):
             d = v.length - z.length
             if d % 2 and i in z.left_descents and bruhat_leq(y, z):

@@ -276,11 +276,11 @@ _POLYS: dict[LaurentPoly, LaurentPoly] = {ZERO: ZERO, ONE: ONE}
 _C_COEFFS: dict[tuple[LaurentPoly, int], LaurentPoly] = {}
 # The row kernel's memos, keyed by the ids of interned values (held for good in
 # _POLYS): (P_{sy,v}, P_{y,v}, sy < y) -> the step-1 value; (value, mu, k,
-# P_{y,z}) -> value - mu t^k P_{y,z}; (y, i) -> (s_i y, s_i y < y); and each
+# P_{y,z}) -> value - mu t^k P_{y,z}; (y, i) -> s_i y; and each
 # value -> its t-degree if kl_shaped, else infinity.
 _STEPS: dict[tuple[int, int, bool], LaurentPoly] = {}
 _CORRECTIONS: dict[tuple[int, int, int, int], LaurentPoly] = {}
-_LEFT: dict[tuple[AffPerm, int], tuple[AffPerm, bool]] = {}
+_LEFT: dict[tuple[AffPerm, int], AffPerm] = {}
 _DEGREES: dict[int, "int | float"] = {}
 
 
@@ -395,8 +395,8 @@ def _fill_row(w: AffPerm, i: int, v: AffPerm, zs: list[tuple[AffPerm, int]]) -> 
     _KL_STATS["computed"] += len(zeros)
     new = {}
     for y in lower:
-        sy, down = _LEFT.get((y, i)) or _left(y, i)
-        a, b = prev[sy], prev[y]
+        a, b = prev[_LEFT.get((y, i)) or _left(y, i)], prev[y]
+        down = i in y.left_descents
         p = _STEPS.get((id(a), id(b), down))
         new[y] = _step(a, b, down) if p is None else p
     lw = w.length
@@ -417,10 +417,9 @@ def _fill_row(w: AffPerm, i: int, v: AffPerm, zs: list[tuple[AffPerm, int]]) -> 
     _merge(w, new)
 
 
-def _left(y: AffPerm, i: int) -> tuple[AffPerm, bool]:
-    sy = affperm.generator(y.r, i) * y
-    step = _LEFT[y, i] = (sy, sy.length < y.length)
-    return step
+def _left(y: AffPerm, i: int) -> AffPerm:
+    sy = _LEFT[y, i] = affperm.generator(y.r, i) * y
+    return sy
 
 
 def _step(a: LaurentPoly, b: LaurentPoly, down: bool) -> LaurentPoly:

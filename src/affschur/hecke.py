@@ -16,17 +16,23 @@ d T_x, naming x and d by table-local dense ids (int-keyed, as du Cloux's tables
 are).  h_bar and psi share one kernel: the terms are grouped by equal
 coefficient, the codes of a group counted in C, and each distinct code summed once.
 
-Kazhdan-Lusztig polynomials are produced by the classical left-multiplication
-recursion: pick the lowest-index left descent s of w, combine P_{sy,sw} and
-P_{y,sw}, and subtract mu(z, sw) P_{y,z} over z with sz < z and y <= z.  One
-list per w, of the nonzero mu(z, w) with z < w and l(w) - l(z) odd, feeds
-both this recursion and the C-basis product below; the recursion's Bruhat
-tests are lookups in the cached lower ideals.  The memo table holds one row
-per w, mapping each y to P_{y,w}, as du Cloux keeps KL data per w over the
-elements below it; no pair (y, w) is stored.  Its y and w lie in W', the
-rho-power split off (P is invariant under a common rho twist).  Correctness
-is not taken on faith: the acceptance suite re-derives bar(C_w) = C_w and the
-degree bounds over whole balls.
+Kazhdan-Lusztig polynomials come from the classical left-multiplication
+recursion, a row at a time.  For s the lowest-index left descent of w and
+v = sw, one pass over y <= w sets P_{y,w} = P_{sy,v} + q P_{y,v} if sy < y,
+else q P_{sy,v} + P_{y,v}, less mu(z, v) t^{l(w)-l(z)} P_{y,z} over the z with
+sz < z, read off each row z over [e, z].  A work stack fills the rows of v and
+of those z first, so nothing recurses per letter.  One list per w of the
+nonzero mu(z, w), z < w with l(w) - l(z) odd, feeds this kernel and the
+C-basis product below.  The memo holds one row per w, y -> P_{y,w}, as du
+Cloux keeps KL data per w; y and w lie in W' (P is invariant under a common
+rho twist).  A row is full once it holds every y <= w; filling the row of w
+adds zero records to the row of v for the y in [e, w] outside [e, v].  The
+kernel steps are memoized on interned values, and each stored value passes
+kl_shaped (checked once per value) and the degree bound (per record).  In
+kl_memo_stats, `computed` counts the records the kernel stored, zero records
+included, and `hits` the reads served from the memo.  Correctness is not taken
+on faith: the acceptance suite re-derives bar(C_w) = C_w and the degree bounds
+over whole balls.
 
 Structure constants are computed in the C-basis through the W-graph, never
 through the T-basis.  For s a simple reflection, C_s C_w = (t + 1/t) C_w when
@@ -159,6 +165,18 @@ class _Ids(dict):
         return self[key]
 
 
+class _Memo(dict):
+    """A memo that computes a missing value as fill(*key) for a tuple key, else
+    fill(key); of two threads that both miss, the first to store wins."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fill(*key) if type(key) is tuple else self.fill(key))
+
+
 # The bar table: _ROWS[y] holds T_{y^{-1}}^{-1} as a tuple of codes, one per
 # term d T_x, a code being the id of the pair (id of x, id of d).  The ids are
 # table-local: the bar oracle shares nothing with the KL layer.  Memos:
@@ -168,25 +186,21 @@ _IDS_LOCK = threading.Lock()
 _KEY_IDS, _COEFF_IDS, _CODES = _Ids(), _Ids(), _Ids()
 _ZERO_ID, _ONE_ID = _COEFF_IDS[ZERO], _COEFF_IDS[ONE]
 _ROWS: dict[AffPerm, tuple[int, ...]] = {}
-_X_STEPS: dict[tuple[int, int], tuple[int, bool]] = {}
-_D_STEPS: dict[tuple, int] = {}
-_PRODUCT_TERMS: dict[LaurentPoly, dict[int, tuple]] = {}
 
 
 def _x_step(x: int, i: int) -> tuple[int, bool]:
     u = _KEY_IDS.of[x]
     us = u * affperm.generator(u.r, i)
-    step = _X_STEPS[x, i] = (_KEY_IDS[us], us.length > u.length)
-    return step
+    return _KEY_IDS[us], us.length > u.length
 
 
 def _d_step(a: "int | None", d: int) -> int:
-    hit = _D_STEPS.get((a, d))
-    if hit is None:
-        coeffs = _COEFF_IDS.of
-        p = coeffs[d] * QINV if a is None else coeffs[a] + coeffs[d] * (QINV - 1)
-        hit = _D_STEPS[a, d] = _COEFF_IDS[p]
-    return hit
+    coeffs = _COEFF_IDS.of
+    return _COEFF_IDS[coeffs[d] * QINV if a is None else coeffs[a] + coeffs[d] * (QINV - 1)]
+
+
+_X_STEPS, _D_STEPS = _Memo(_x_step), _Memo(_d_step)
+_PRODUCT_TERMS = _Memo(lambda f: _Memo(lambda d: tuple((f * _COEFF_IDS.of[d]).items())))
 
 
 def _bar_row(w: AffPerm) -> tuple[int, ...]:
@@ -212,10 +226,10 @@ def _bar_row(w: AffPerm) -> tuple[int, ...]:
         old = dict(map(pairs.__getitem__, row))
         new = {}
         for x, d in old.items():
-            xs, up = _X_STEPS.get((x, i)) or _x_step(x, i)
+            xs, up = _X_STEPS[x, i]
             if up:
-                new[xs] = _d_step(None, d)
-                new[x] = _d_step(old.get(xs, _ZERO_ID), d)
+                new[xs] = _D_STEPS[None, d]
+                new[x] = _D_STEPS[old.get(xs, _ZERO_ID), d]
             # else T_x T_s^{-1} = T_xs, added at xs: xs < x lies in [e, ws], the row's support
         row = _ROWS.setdefault(v, tuple(_CODES[p] for p in new.items() if p[1] != _ZERO_ID))
     return row
@@ -234,15 +248,13 @@ def _bar_sum(r: int, factors: Mapping[AffPerm, LaurentPoly]) -> HeckeElt:
     groups: dict[LaurentPoly, list[tuple[int, ...]]] = {}
     for y, f in factors.items():
         groups.setdefault(f, []).append(_ROWS.get(y) or _bar_row(y))
-    pairs, coeffs = _CODES.of, _COEFF_IDS.of
+    pairs = _CODES.of
     acc: dict[int, dict[int, int]] = {}
     for f, rows in groups.items():
-        products = _PRODUCT_TERMS.get(f) or _PRODUCT_TERMS.setdefault(f, {})
+        products = _PRODUCT_TERMS[f]
         for code, n in Counter(itertools.chain.from_iterable(rows)).items():
             x, d = pairs[code]
-            fd = products.get(d)
-            if fd is None:
-                fd = products[d] = tuple((f * coeffs[d]).items())
+            fd = products[d]
             row = acc.get(x)
             if row is None:
                 row = acc[x] = {}
@@ -264,32 +276,24 @@ def h_bar(a: HeckeElt) -> HeckeElt:
 # ---------------------------------------------------------------------------
 # Kazhdan-Lusztig polynomials
 
-# One row per w: _KL[w][y] = P_{y,w}.  A row is full once it holds every y <= w
-# (_FULL); rows are created with setdefault and records merged with setdefault,
-# so threads sharing the memo lose nothing.
-_KL: dict[AffPerm, dict[AffPerm, LaurentPoly]] = {}
+# One row per w: _KL[w][y] = P_{y,w}, the row made on first use.  A row is full
+# once it holds every y <= w (_FULL); rows and records are stored with
+# setdefault, so threads sharing the memo lose nothing.
+_KL = _Memo(lambda w: {})
 _FULL: set[AffPerm] = set()
 _KL_STATS = {"hits": 0, "computed": 0, "loaded": 0}
 # One object per distinct value (most records are 0, 1 or 1 + q), and one per
 # coefficient t^{-l} P of C_w; LaurentPoly values are never mutated in place.
-_POLYS: dict[LaurentPoly, LaurentPoly] = {ZERO: ZERO, ONE: ONE}
-_C_COEFFS: dict[tuple[LaurentPoly, int], LaurentPoly] = {}
-# The row kernel's memos, keyed by the ids of interned values (held for good in
-# _POLYS): (P_{sy,v}, P_{y,v}, sy < y) -> the step-1 value; (value, mu, k,
-# P_{y,z}) -> value - mu t^k P_{y,z}; (y, i) -> s_i y; and each
-# value -> its t-degree if kl_shaped, else infinity.
-_STEPS: dict[tuple[int, int, bool], LaurentPoly] = {}
-_CORRECTIONS: dict[tuple[int, int, int, int], LaurentPoly] = {}
-_LEFT: dict[tuple[AffPerm, int], AffPerm] = {}
-_DEGREES: dict[int, "int | float"] = {}
-
-
-def _intern(p: LaurentPoly) -> LaurentPoly:
-    return _POLYS.setdefault(p, p)
-
-
-def _row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
-    return _KL.get(w) or _KL.setdefault(w, {})
+_POLYS = _Memo(lambda p: p)  # _POLYS[p] is the one object equal to p
+_POLYS.update({ZERO: ZERO, ONE: ONE})
+_C_COEFFS = _Memo(lambda p, length: p * t_pow(-length))
+# The row kernel's memos, over interned values: (P_{sy,v}, P_{y,v}, sy < y) ->
+# the step-1 value; (value, mu, k, P_{y,z}) -> value - mu t^k P_{y,z}; (y, i) ->
+# s_i y; a value -> its t-degree if kl_shaped, else infinity.
+_STEPS = _Memo(lambda a, b, down: _POLYS[a + Q * b if down else Q * a + b])
+_CORRECTIONS = _Memo(lambda val, mu, k, p: _POLYS[val - p * t_pow(k, mu)])
+_LEFT = _Memo(lambda y, i: affperm.generator(y.r, i) * y)
+_DEGREES = _Memo(lambda p: p.degree() if kl_shaped(p) else float("inf"))
 
 
 def kl_memo_stats() -> dict:
@@ -313,10 +317,10 @@ def kl_memo_rows():
 def kl_memo_insert(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
     """Seed the memo table with P_{y,w} for y, w in W' (used by the disk cache);
     duplicate keys are ignored."""
-    row = _row(w)
+    row = _KL[w]
     if y in row:
         return False
-    row.setdefault(y, _intern(p))
+    row.setdefault(y, _POLYS[p])
     _KL_STATS["loaded"] += 1
     return True
 
@@ -345,13 +349,9 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
 
 def _full(w: AffPerm) -> bool:
     """Whether the row of w holds every y <= w; a loaded row is checked once."""
-    if w in _FULL:
-        return True
-    row = _KL.get(w)
-    if row is None or not row.keys() >= bruhat_lower(w):
-        return False
-    _FULL.add(w)
-    return True
+    if w not in _FULL and (row := _KL.get(w)) is not None and row.keys() >= bruhat_lower(w):
+        _FULL.add(w)
+    return w in _FULL
 
 
 def _kl_row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
@@ -366,7 +366,7 @@ def _kl_row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
         if _full(u):
             stack.pop()
         elif u.is_identity():
-            _merge(u, {u: ONE})
+            _store(_KL[u], {u: ONE})
         else:
             i = min(u.left_descents)
             v = affperm.generator(u.r, i) * u
@@ -389,61 +389,27 @@ def _fill_row(w: AffPerm, i: int, v: AffPerm, zs: list[tuple[AffPerm, int]]) -> 
     lower = bruhat_lower(w)
     prev = _KL[v]
     # the y in [e, w] outside [e, v] enter the row of v as zero records
-    zeros = [y for y in lower if y not in prev]
-    for y in zeros:
-        prev.setdefault(y, ZERO)
-    _KL_STATS["computed"] += len(zeros)
-    new = {}
-    for y in lower:
-        a, b = prev[_LEFT.get((y, i)) or _left(y, i)], prev[y]
-        down = i in y.left_descents
-        p = _STEPS.get((id(a), id(b), down))
-        new[y] = _step(a, b, down) if p is None else p
+    _store(prev, dict.fromkeys(lower, ZERO))
+    new = {y: _STEPS[prev[_LEFT[y, i]], prev[y], i in y.left_descents] for y in lower}
     lw = w.length
     for z, mu in zs:
-        k = lw - z.length
-        row = _KL[z]
+        k, row = lw - z.length, _KL[z]
         for y in bruhat_lower(z):
-            val, p = new[y], row[y]
-            c = _CORRECTIONS.get((id(val), mu, k, id(p)))
-            new[y] = _correct(val, mu, k, p) if c is None else c
+            new[y] = _CORRECTIONS[new[y], mu, k, row[y]]
     for y, p in new.items():
         # P_{y,w} for y < w is kl_shaped, of q-degree <= (l(w) - l(y) - 1)/2
-        d = _DEGREES.get(id(p))
-        if d is None:
-            d = _DEGREES[id(p)] = p.degree() if kl_shaped(p) else float("inf")
-        if d > lw - y.length - 1 and y is not w:
+        if _DEGREES[p] > lw - y.length - 1 and y is not w:
             raise KLInvariantViolation(f"KL recursion violated degree bounds at {(y, w)}: {p!r}")
-    _merge(w, new)
-
-
-def _left(y: AffPerm, i: int) -> AffPerm:
-    sy = _LEFT[y, i] = affperm.generator(y.r, i) * y
-    return sy
-
-
-def _step(a: LaurentPoly, b: LaurentPoly, down: bool) -> LaurentPoly:
-    p = _STEPS[id(a), id(b), down] = _intern(a + Q * b if down else Q * a + b)
-    return p
-
-
-def _correct(val: LaurentPoly, mu: int, k: int, p: LaurentPoly) -> LaurentPoly:
-    c = _CORRECTIONS[id(val), mu, k, id(p)] = _intern(val - p * t_pow(k, mu))
-    return c
-
-
-def _merge(w: AffPerm, new: dict[AffPerm, LaurentPoly]) -> None:
-    """Store a filled row: a record already there (loaded, or stored by another
-    thread) stays; the row is then full."""
-    row = _row(w)
-    before = len(row)
-    if before:
-        for y, p in new.items():
-            row.setdefault(y, p)
-    else:
-        row.update(new)
-    _KL_STATS["computed"] += len(row) - before
+    _store(_KL[w], new)
     _FULL.add(w)
+
+
+def _store(row: dict[AffPerm, LaurentPoly], new: dict[AffPerm, LaurentPoly]) -> None:
+    """Add to a row the records of new it lacks, counted as computed; a record
+    already there (loaded, or stored by another thread) stays."""
+    before = len(row)
+    row.update({y: p for y, p in new.items() if y not in row} if before else new)
+    _KL_STATS["computed"] += len(row) - before
 
 
 def kl_shaped(p: LaurentPoly) -> bool:
@@ -482,16 +448,7 @@ def c_elt(w: AffPerm) -> HeckeElt:
     if _full(u):
         _KL_STATS["hits"] += len(lower)
     row = _kl_row(u)
-    return HeckeElt(w.r, "T", {y.shift(a): _c_coeff(row[y], lu) for y in lower})
-
-
-def _c_coeff(p: LaurentPoly, length: int) -> LaurentPoly:
-    """t^{-length} p for an interned memo value p, built once per (p, length)."""
-    key = (p, length)
-    c = _C_COEFFS.get(key)
-    if c is None:
-        c = _C_COEFFS[key] = p * t_pow(-length)
-    return c
+    return HeckeElt(w.r, "T", {y.shift(a): _C_COEFFS[row[y], lu] for y in lower})
 
 
 def cprime_elt(w: AffPerm) -> HeckeElt:

@@ -179,7 +179,11 @@ finally:
     sys.setrecursionlimit(limit)
 # in type A~1 every P_{y,w} with y <= w is 1, so C_w = t^{-l(w)} sum_{y <= w} T_y
 assert c == hecke.HeckeElt(2, "T", {y: t_pow(-w.length) for y in bruhat_lower(w)})
-print(w.length, len(c.terms))
+# from a cold memo every record was stored by the kernel, into rows it filled
+stats = hecke.kl_memo_stats()
+rows = len(list(hecke.kl_memo_rows()))
+print(w.length, len(c.terms), stats["computed"] == stats["entries"], stats["full_rows"] == rows,
+      stats["hits"], min(stats["kernel_memos"].values()) > 0)
 """
 
 
@@ -187,7 +191,7 @@ def test_kl_rows_fill_long_chains_without_recursion():
     proc = subprocess.run([sys.executable, "-c", _KL_CHAIN], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["120", "240"]
+    assert proc.stdout.split() == ["120", "240", "True", "True", "0", "True"]
 
 
 def _assert_shared(values):

@@ -918,20 +918,25 @@ def _q15_tuples(w: _Window, on_hypothesis: bool):
                         yield A, Ap, B, C
 
 
+def _q15_count(w: _Window) -> int:
+    """The number of on-hypothesis tuples that _q15_tuples yields."""
+    sub, by_ro, by_co, by_color = w.q15_sub
+    a_count = {color: collections.Counter(a for _, a in Bs) for color, Bs in by_color.items()}
+    return sum(
+        a_count.get((A.ro, Ap.co), {}).get(w.aval[C].value, 0)
+        for C in sub
+        for Ap in by_ro.get(C.co, ())
+        for A in by_co.get(C.ro, ())
+    )
+
+
 def _q15(w: _Window, t: _Tally) -> None:
     """Q15: the two-indeterminate commutation identity, on the first q15_cap
     on-hypothesis tuples.  Off-hypothesis tuples (a(B) != a(C)) are tried
     too, for information only."""
     for A, Ap, B, C in itertools.islice(_q15_tuples(w, True), w.q15_cap):
         t.expect(_q15_identity_holds(A, Ap, B, C), {"A": A, "A'": Ap, "B": B, "C": C})
-    sub, by_ro, by_co, by_color = w.q15_sub
-    a_count = {color: collections.Counter(a for _, a in Bs) for color, Bs in by_color.items()}
-    t.details["tuples_enumerated"] = sum(
-        a_count.get((A.ro, Ap.co), {}).get(w.aval[C].value, 0)
-        for C in sub
-        for Ap in by_ro.get(C.co, ())
-        for A in by_co.get(C.ro, ())
-    )
+    t.details["tuples_enumerated"] = _q15_count(w)
     off_cap = max(w.q15_cap // 10, 20)
     off = [_q15_identity_holds(*q) for q in itertools.islice(_q15_tuples(w, False), off_cap)]
     t.details["without_hypothesis"] = {"held": off.count(True), "failed": off.count(False)}

@@ -6,7 +6,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affschur import asymptotic
@@ -544,6 +544,25 @@ def _q15_tuples_by_walk(n, r, length_bound, omega_window):
         for B in sub
         if (B.ro, B.co) == (A.ro, Ap.co) and a[B] == a[C]
     )
+
+
+@st.composite
+def q15_windows(draw):
+    """(n, 2, L, omega_window) with n <= 3 and L <= 3; the walk is quartic in
+    the window, so n = 3 keeps to rho-power 0 (70,146 tuples at L = 2)."""
+    n, L = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if n == 3:
+        return n, 2, L, (0, 0)
+    lo = draw(st.integers(-1, 1))
+    return n, 2, L, (lo, lo + draw(st.integers(0, 1)))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(q15_windows())
+@example((3, 2, 2, (0, 0)))
+@example((2, 2, 2, (-1, 1)))
+def test_q15_count_matches_the_walk(window):
+    assert asymptotic._q15_count(asymptotic._Window(*window)) == _q15_tuples_by_walk(*window)
 
 
 @pytest.mark.parametrize("window", [(1, 2, 3, (-1, 1)), (2, 2, 2, (-1, 1))])

@@ -697,6 +697,9 @@ GOLDEN_CLI = [
      "6164ccc3db6f392a"),
     (("lowest-cell", "--n", "2", "--r", "2", "--L", "3", "--omega-window=-1:1",
       "--format", "pretty"), "876fdc3ac7a34734"),
+    (("qsuite", "--n", "3", "--r", "2", "--L", "2", "--omega-window=-1:1"), "1fde440dc5fcd527"),
+    # 18 of its 28 matrices are uncertified: Q11 checks 60 pairs and skips 30
+    (("qsuite", "--n", "2", "--r", "3", "--L", "2"), "2403ce5aba203da4"),
 ]
 
 

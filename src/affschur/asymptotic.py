@@ -840,15 +840,39 @@ def _q11(w: _Window, t: _Tally) -> None:
     """Q11: A <=_LR B with a(A) = a(B) forces A ~LR B, witnessed by
     t_A t_C t_B != 0 with (ro, co)(C) = (co(A), ro(B)).  A's involutions and
     A^t are the likeliest C, so they go first; with no witness inside the
-    window the pair is skipped."""
+    window the pair is skipped.  The E in the support of t_A t_C are listed
+    once per (A, colour of C), so each pair only reads gamma_{E,B}."""
+    reach: dict[tuple, tuple[list[PeriodicMatrix], Exception | None]] = {}
     for A, B in w.equal_a["LR"]:
         with t:
             color = (A.co, B.ro)
-            candidates = [D for D, _g in w.hits(A)] + [A.transpose()] + w.by_color.get(color, [])
-            middle = (C for C in candidates if (C.ro, C.co) == color)
-            if not any(any(w.gamma(E, B) for E in w.gamma(A, C)) for C in middle):
+            if (A, color) not in reach:
+                reach[A, color] = _q11_reach(w, A, color)
+            middle, undecided = reach[A, color]
+            if not any(w.gamma(E, B) for E in middle):
+                if undecided:
+                    raise undecided.with_traceback(None)
                 raise WindowExceeded(f"no witness for A={A.entries} ~LR B={B.entries}")
             t.expect(True, {"A": A, "B": B})
+
+
+def _q11_reach(w: _Window, A: PeriodicMatrix, color: tuple) -> tuple[list, Exception | None]:
+    """The E with gamma_{A,C,E} != 0 over the C of the given colour, A's
+    involutions and A^t first, each E once in first-seen order; cut at the
+    first gamma_{A,C} (or hits(A)) the window cannot decide, and that error.
+
+    A pair (A, B) with no witness among the listed E meets the same error at
+    the same place as a walk over the C in this order would, so it is skipped
+    the same way."""
+    middle: dict[PeriodicMatrix, None] = {}
+    try:
+        candidates = [D for D, _g in w.hits(A)] + [A.transpose()] + w.by_color.get(color, [])
+        for C in candidates:
+            if (C.ro, C.co) == color:
+                middle.update(dict.fromkeys(w.gamma(A, C)))
+    except (UncertifiedAValue, WindowExceeded) as exc:
+        return list(middle), exc
+    return list(middle), None
 
 
 def _q13(w: _Window, t: _Tally) -> None:
@@ -919,14 +943,19 @@ def _q15_tuples(w: _Window, on_hypothesis: bool):
 
 
 def _q15_count(w: _Window) -> int:
-    """The number of on-hypothesis tuples that _q15_tuples yields."""
+    """The number of on-hypothesis tuples that _q15_tuples yields, summed over
+    classes: C by (ro, co, a), the A under ro(C) by ro, the A' under co(C) by
+    co, and B by ((ro, co), a)."""
     sub, by_ro, by_co, by_color = w.q15_sub
     a_count = {color: collections.Counter(a for _, a in Bs) for color, Bs in by_color.items()}
+    ro_count = {mu: collections.Counter(A.ro for A in As) for mu, As in by_co.items()}
+    co_count = {mu: collections.Counter(Ap.co for Ap in Aps) for mu, Aps in by_ro.items()}
+    classes = collections.Counter((C.ro, C.co, w.aval[C].value) for C in sub)
     return sum(
-        a_count.get((A.ro, Ap.co), {}).get(w.aval[C].value, 0)
-        for C in sub
-        for Ap in by_ro.get(C.co, ())
-        for A in by_co.get(C.ro, ())
+        n * m * k * a_count.get((lam, nu), {}).get(a, 0)
+        for (ro, co, a), n in classes.items()
+        for lam, m in ro_count.get(ro, {}).items()
+        for nu, k in co_count.get(co, {}).items()
     )
 
 

@@ -211,7 +211,23 @@ def basis_convert(a: SchurElt, target: str) -> SchurElt:
 # Structure constants in the theta basis
 
 
-def max_rep_terms(A: PeriodicMatrix, B: PeriodicMatrix) -> list:
+def _max_terms(x: AffPerm, y: AffPerm, lam: Composition, nu: Composition) -> tuple:
+    out = []
+    for z, h in h_expansion(x, y).items():
+        if not is_max_double_rep(z, lam, nu):
+            raise NotInModule(f"product term {z} is not maximal in its double coset")
+        out.append((matrix_of(lam, z, nu), z, h))
+    return tuple(sorted(out, key=lambda p: p[0].sort_key))
+
+
+# Each product C_x C_y of maximal representatives is read once, keyed by
+# (x, y, lam, nu), and each quotient h / h_mu is taken once per distinct pair;
+# both are read by g_expansion and gamma_mat_expansion, not by the phi route.
+_MAX_TERMS = hecke._Memo(_max_terms)
+_QUOTIENTS = hecke._Memo(lambda h, hmu: h.exact_div(hmu))
+
+
+def max_rep_terms(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     """The terms (C, z, h_{x,y,z}) of C_x C_y for x = w_A^+ and y = w_B^+,
     sorted by C; empty unless co(A) = ro(B).
 
@@ -220,21 +236,15 @@ def max_rep_terms(A: PeriodicMatrix, B: PeriodicMatrix) -> list:
     is w_C^+ for a unique matrix C.
     """
     if A.co != B.ro:
-        return []
-    lam, nu = A.ro, B.co
-    out = []
-    for z, h in h_expansion(plus_rep(A), plus_rep(B)).items():
-        if not is_max_double_rep(z, lam, nu):
-            raise NotInModule(f"product term {z} is not maximal in its double coset")
-        out.append((matrix_of(lam, z, nu), z, h))
-    return sorted(out, key=lambda p: p[0].sort_key)
+        return ()
+    return _MAX_TERMS[plus_rep(A), plus_rep(B), A.ro, B.co]
 
 
 @functools.lru_cache(maxsize=None)
 def g_expansion(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:
     """theta_A theta_B = sum g_{A,B,C} theta_C, via exact division by h_mu."""
     hmu = poincare_h(A.co)
-    return tuple((C, h.exact_div(hmu)) for C, _, h in max_rep_terms(A, B))
+    return tuple((C, _QUOTIENTS[h, hmu]) for C, _, h in max_rep_terms(A, B))
 
 
 def g_struct(A: PeriodicMatrix, B: PeriodicMatrix, C: PeriodicMatrix) -> LaurentPoly:

@@ -245,17 +245,18 @@ def ball(r: int, length_bound: int) -> tuple[AffPerm, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _leq_coxeter(y: AffPerm, w: AffPerm) -> bool:
-    # Bruhat order inside W', by the lifting property.
-    if y == w or y.is_identity():
-        return True
-    if y.length >= w.length:
-        return False
-    s = generator(y.r, min(w.left_descents))
-    sw = s * w
-    sy = s * y
-    if sy.length < y.length:
-        return _leq_coxeter(sy, sw)
-    return _leq_coxeter(y, sw)
+    # Bruhat order inside W', by the lifting property: for s a left descent of
+    # w, y <= w iff sy <= sw when sy < y, else iff y <= sw.  A loop, since the
+    # chain is l(w) steps long.
+    while not (y == w or y.is_identity()):
+        if y.length >= w.length:
+            return False
+        s = generator(y.r, min(w.left_descents))
+        sy = s * y
+        if sy.length < y.length:
+            y = sy
+        w = s * w
+    return True
 
 
 def bruhat_leq(y: AffPerm, w: AffPerm) -> bool:

@@ -10,6 +10,7 @@ import doctest
 import itertools
 import pickle
 import random
+import subprocess
 import sys
 import threading
 
@@ -210,6 +211,28 @@ def test_bruhat_matches_subword_oracle(r, bound):
     for y in elems:
         for w in elems:
             assert bruhat_leq(y, w) == (y in lowers[w])
+
+
+# A fresh process, so no pair is memoized: y <= w by the lifting property takes
+# l(w) steps, which a recursion per letter walks as l(w) nested calls.
+_LEQ_CHAIN = """
+import inspect, sys
+from affschur.affperm import bruhat_leq, from_word
+y, w = from_word(2, 0, [0, 1] * 599), from_word(2, 0, [0, 1] * 600)
+limit = sys.getrecursionlimit()
+sys.setrecursionlimit(len(inspect.stack()) + 40)
+try:
+    print(bruhat_leq(y, w), bruhat_leq(w, y))
+finally:
+    sys.setrecursionlimit(limit)
+"""
+
+
+def test_bruhat_leq_walks_long_chains_without_recursion():
+    proc = subprocess.run([sys.executable, "-c", _LEQ_CHAIN], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_bruhat_lower_examples():

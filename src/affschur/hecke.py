@@ -320,6 +320,9 @@ def kl_memo_insert(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
     row = _KL[w]
     if y in row:
         return False
+    if w in _FULL and not p.is_zero():
+        # a full row holds every y <= w, so this y is not below w
+        raise KLInvariantViolation(f"P_{{y,w}} = {p!r} is nonzero for y = {y} not <= w = {w}")
     row.setdefault(y, _POLYS[p])
     _KL_STATS["loaded"] += 1
     return True
@@ -340,6 +343,7 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
     row = _KL.get(w)
     hit = row.get(y) if row is not None else None
     if hit is not None:
+        _full(w)  # a loaded row is checked against [e, w] on its first read
         _KL_STATS["hits"] += 1
         return hit
     if y not in bruhat_lower(w):
@@ -348,9 +352,17 @@ def _kl(y: AffPerm, w: AffPerm) -> LaurentPoly:
 
 
 def _full(w: AffPerm) -> bool:
-    """Whether the row of w holds every y <= w; a loaded row is checked once."""
-    if w not in _FULL and (row := _KL.get(w)) is not None and row.keys() >= bruhat_lower(w):
-        _FULL.add(w)
+    """Whether the row of w holds every y <= w.  A row not yet full (a loaded
+    one) is checked against [e, w] on each read until it is: a nonzero record
+    with y not <= w raises KLInvariantViolation; zero records are legal."""
+    if w not in _FULL and (row := _KL.get(w)) is not None:
+        lower = bruhat_lower(w)
+        # both set operations read the stored hashes of the dict and the set
+        for y in row.keys() - lower:
+            if not row[y].is_zero():
+                raise KLInvariantViolation(f"P_{{y,w}} = {row[y]!r} is nonzero for y = {y} not <= w = {w}")
+        if not lower.difference(row):
+            _FULL.add(w)
     return w in _FULL
 
 
@@ -496,25 +508,52 @@ _PRODUCTS: dict[tuple[AffPerm, AffPerm], Mapping[AffPerm, LaurentPoly]] = {}
 
 
 def _c_product(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
-    # C_u = C_s C_u' - sum mu(z, u') C_z over z < u' with sz < z, for u = su' > u'
-    hit = _PRODUCTS.get((u, v))
-    if hit is not None:
-        return hit
-    if u.is_identity():
-        return MappingProxyType({v: ONE})
-    i = min(u.left_descents)
-    s = affperm.generator(u.r, i)
-    up = s * u
-    out: dict[AffPerm, LaurentPoly] = {}
-    for w, c in _c_product(up, v).items():
-        _add_left_gen(out, i, s, w, c)
-    for z, mu in _mu_list(up):
-        if i in z.left_descents:
-            for w, c in _c_product(z, v).items():
+    """C_u C_v, held in _PRODUCTS unless u = e.
+
+    For s = s_i the lowest left descent of x and x' = sx, C_x C_v is
+    C_s (C_x' C_v) - sum mu(z, x') C_z C_v over z < x' with sz < z.  An explicit
+    work stack makes the products of x' and of those z first, in the order a
+    recursion would, in place of a recursion l(u) deep."""
+    done = _made(u, v)
+    if done is not None:
+        return done
+    stack = [u]
+    while stack:
+        x = stack[-1]
+        if (x, v) in _PRODUCTS:
+            stack.pop()
+            continue
+        i = min(x.left_descents)
+        xp = _LEFT[x, i]
+        first = _made(xp, v)
+        if first is None:
+            stack.append(xp)
+            continue
+        zs = [(z, mu, _made(z, v)) for z, mu in _mu_list(xp) if i in z.left_descents]
+        todo = [z for z, _, p in zs if p is None]
+        if todo:
+            stack += reversed(todo)
+            continue
+        out: dict[AffPerm, LaurentPoly] = {}
+        s = affperm.generator(x.r, i)
+        for w, c in first.items():
+            _add_left_gen(out, i, s, w, c)
+        for _, mu, p in zs:
+            for w, c in p.items():
                 out[w] = out.get(w, ZERO) - c * mu
-    terms = [(w, c) for w, c in out.items() if not c.is_zero()]
-    val = _PRODUCTS[(u, v)] = MappingProxyType(dict(sorted(terms, key=lambda p: p[0].sort_key)))
-    return val
+        terms = sorted(((w, c) for w, c in out.items() if not c.is_zero()),
+                       key=lambda p: p[0].sort_key)
+        _PRODUCTS[x, v] = MappingProxyType(dict(terms))
+        stack.pop()
+    return _PRODUCTS[u, v]
+
+
+def _made(x: AffPerm, v: AffPerm) -> "Mapping[AffPerm, LaurentPoly] | None":
+    """C_x C_v if it is made (x = e, or held in _PRODUCTS), else None."""
+    hit = _PRODUCTS.get((x, v))
+    if hit is None and x.is_identity():
+        return MappingProxyType({v: ONE})
+    return hit
 
 
 @functools.lru_cache(maxsize=None)

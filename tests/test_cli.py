@@ -452,6 +452,80 @@ def test_concurrent_saves_interleave_whole_lines(tmp_path):
     assert canonical and corrupt == 0 and computed == 0
 
 
+# Loads a cache, then prints what three reads give, "violation" where one
+# raises KLInvariantViolation: P_{y,w} for the (y, w) given, whether every C_w
+# of ball(3,7) is bar-invariant, and (if they all are) a nonzero record with
+# y not <= w for a full row.
+_LOAD_AND_BUILD = """
+import sys
+from affschur import affperm, hecke, klcache
+from affschur.errors import KLInvariantViolation
+from affschur.laurent import ONE
+klcache.KLCache(sys.argv[1]).load()
+y, w = (affperm.AffPerm(3, tuple(map(int, a.split(",")))) for a in sys.argv[2:4])
+
+
+def outcome(step):
+    try:
+        return step()
+    except KLInvariantViolation:
+        return "violation"
+
+
+def build():
+    return all(hecke.h_bar(c) == c for c in map(hecke.c_elt, affperm.ball(3, 7)))
+
+
+def insert():
+    top = affperm.ball(3, 7)[-1]
+    hecke.kl_memo_insert(next(y for y in affperm.ball(3, 6) if y not in hecke._KL[top]), top, ONE)
+    return "inserted"
+
+
+first, built = outcome(lambda: hecke.kl_poly(y, w).is_zero()), outcome(build)
+print(first, built, outcome(insert) if built is True else "-")
+"""
+
+
+@pytest.mark.parametrize("P,expected", [({"0": "1"}, ["violation", "violation", "-"]),
+                                        ({}, ["True", "True", "violation"])],
+                         ids=["nonzero", "zero"])
+def test_loaded_records_with_y_not_below_w(tmp_path, P, expected):
+    # each row w of ball(3,5) gains a record P_{y,w} for a y in [e, s_i w] but
+    # not in [e, w], shorter than w (so P = 1 passes the load's degree bound):
+    # the kernel reads it when it fills the row of s_i w
+    path = str(tmp_path / "kl.jsonl")
+    saved = subprocess.run([sys.executable, "-c", _SAVE_BALLS, path, "-", "3,5"],
+                           capture_output=True, text=True)
+    assert saved.returncode == 0, saved.stderr
+    _, records = _file_records(path)
+    bogus = []
+    for window in dict.fromkeys(tuple(rec[2]) for rec in records):
+        w = affperm.AffPerm(3, window)
+        i = min(set(range(3)) - w.left_descents)
+        above = affperm.bruhat_lower(affperm.generator(3, i) * w) - affperm.bruhat_lower(w)
+        ys = sorted((y for y in above if y.length < w.length), key=lambda y: y.sort_key)
+        if not ys:
+            continue
+        y = ys[0]
+        bogus.append(json.dumps({"P": P, "r": 3, "w": list(window), "y": list(y.window)},
+                                sort_keys=True, separators=(",", ":")))
+    assert len(bogus) > 20
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n".join(bogus) + "\n")
+    assert scan_stats(path)["corrupt_lines_skipped"] == 0
+    first = json.loads(bogus[0])
+    built = subprocess.run([sys.executable, "-c", _LOAD_AND_BUILD, path,
+                            ",".join(map(str, first["y"])), ",".join(map(str, first["w"]))],
+                           capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    assert built.stdout.split() == expected
+    if P:
+        cli_run = subprocess.run([sys.executable, "-m", "affschur.cli", "cbasis", "--cache", path,
+                                  "--r", "3", "--w", "0,1,2,0,1,2"], capture_output=True, text=True)
+        assert cli_run.returncode == 3 and "verification failure" in cli_run.stderr
+
+
 _TOP_UP = """
 import json, sys
 from affschur import affperm, hecke, klcache

@@ -194,6 +194,35 @@ def test_kl_rows_fill_long_chains_without_recursion():
     assert proc.stdout.split() == ["120", "240", "True", "True", "0", "True"]
 
 
+# A fresh process, so no product is memoized: C_x C_y is built from the
+# products of every prefix of the descent chain of x, which a recursion per
+# letter would walk as l(x) nested calls.
+_PRODUCT_CHAIN = """
+import inspect, sys
+from affschur import hecke
+from affschur.affperm import from_word, identity
+from affschur.laurent import ONE
+x, y = from_word(2, 0, [0, 1] * 30), from_word(2, 1, [1, 0, 1])
+long = from_word(2, 0, [0, 1] * 520)
+limit = sys.getrecursionlimit()
+sys.setrecursionlimit(len(inspect.stack()) + 40)
+try:
+    short = dict(hecke.h_expansion(x, y))
+    chain = dict(hecke.h_expansion(long, identity(2)))
+finally:
+    sys.setrecursionlimit(limit)
+oracle = hecke.t_to_c(hecke.h_mul(hecke.c_elt(x), hecke.c_elt(y)))
+print(bool(short), short == dict(oracle.terms), chain == {long: ONE})
+"""
+
+
+def test_c_products_walk_long_chains_without_recursion():
+    proc = subprocess.run([sys.executable, "-c", _PRODUCT_CHAIN], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]
+
+
 def _assert_shared(values):
     """Equal values among these are one object."""
     first = {}

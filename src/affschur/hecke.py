@@ -26,9 +26,11 @@ nonzero mu(z, w), z < w with l(w) - l(z) odd, feeds this kernel and the
 C-basis product below.  The memo holds one row per w, y -> P_{y,w}, as du
 Cloux keeps KL data per w; y and w lie in W' (P is invariant under a common
 rho twist).  A row is full once it holds every y <= w; filling the row of w
-adds zero records to the row of v for the y in [e, w] outside [e, v].  The
-kernel steps are memoized on interned values, and each stored value passes
-kl_shaped (checked once per value) and the degree bound (per record).  In
+adds zero records to the row of v for the y in [e, w] outside [e, v].  A
+loaded row is checked against [e, w] when first read: a nonzero record with
+y not <= w raises KLInvariantViolation.  The kernel steps are memoized on
+interned values, and each stored value passes kl_shaped (checked once per
+value) and the degree bound (per record).  In
 kl_memo_stats, `computed` counts the records the kernel stored, zero records
 included, and `hits` the reads served from the memo.  Correctness is not taken
 on faith: the acceptance suite re-derives bar(C_w) = C_w and the degree bounds
@@ -40,10 +42,12 @@ sw < w, and C_s C_w = C_{sw} + sum mu(z, w) C_z over z < w with sz < z
 otherwise (Kazhdan-Lusztig 1979, (2.3.a-b)).  With s the lowest left descent
 of x = s x' this gives C_x C_y = C_s (C_x' C_y) - sum mu(z, x') C_z C_y, again
 over z < x' with sz < z.  Besides the mu-lists, one memo serves it: every
-product on (x, y) the recursion forms, held once, as a read-only mapping in
-sort_key order that h_expansion hands out as it is.  The lru_cache of
-_h_expansion_core only counts the pairs that callers ask for.  The T-basis
-route (h_mul of the two C_w, peeled back by t_to_c) stays as the oracle.
+product on (x, y) this rule forms, made from an explicit work stack (the
+products of x' and of those z first, so nothing recurses per letter) and held
+once, as a read-only mapping in sort_key order that h_expansion hands out as
+it is.  The lru_cache of _h_expansion_core only counts the pairs that callers
+ask for.  The T-basis route (h_mul of the two C_w, peeled back by t_to_c)
+stays as the oracle.
 
 Polynomials in q are represented in t with even exponents throughout.
 """

@@ -324,7 +324,7 @@ def kl_memo_insert(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
     row = _KL[w]
     if y in row:
         return False
-    if w in _FULL and not p.is_zero():
+    if _FULL and w in _FULL and not p.is_zero():
         # a full row holds every y <= w, so this y is not below w
         raise KLInvariantViolation(f"P_{{y,w}} = {p!r} is nonzero for y = {y} not <= w = {w}")
     row.setdefault(y, _POLYS[p])
@@ -360,12 +360,12 @@ def _full(w: AffPerm) -> bool:
     one) is checked against [e, w] on each read until it is: a nonzero record
     with y not <= w raises KLInvariantViolation; zero records are legal."""
     if w not in _FULL and (row := _KL.get(w)) is not None:
-        lower = bruhat_lower(w)
-        # both set operations read the stored hashes of the dict and the set
-        for y in row.keys() - lower:
-            if not row[y].is_zero():
+        lower, n = bruhat_lower(w), len(row)
+        extra = row.keys() - lower  # reads the stored hashes: no __hash__ calls
+        for y in extra:
+            if row[y] is not ZERO:  # row values are interned: a zero is ZERO
                 raise KLInvariantViolation(f"P_{{y,w}} = {row[y]!r} is nonzero for y = {y} not <= w = {w}")
-        if not lower.difference(row):
+        if n - len(extra) == len(lower):
             _FULL.add(w)
     return w in _FULL
 

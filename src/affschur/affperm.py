@@ -55,7 +55,8 @@ class AffPerm(Interned):
     """A periodic permutation of Z with period r, given by its window.
 
     Building an element equal to an existing one returns the existing object,
-    so equal elements share one hash, length, descent set and inverse.
+    so equal elements share one hash, length, descent set, inverse and table
+    of left products by the generators.
     """
 
     r: int
@@ -86,6 +87,18 @@ class AffPerm(Interned):
             raise PeriodMismatch(f"periods {self.r} and {other.r} differ")
         r, win = self.r, self.window
         return AffPerm._unchecked(r, tuple(win[(v - 1) % r] + (v - 1) // r * r for v in other.window))
+
+    def left(self, i: int) -> "AffPerm":
+        """The element s_i * self, read from a table by i filled on first use."""
+        table = self._lefts
+        x = table[i]
+        if x is None:
+            x = table[i] = generator(self.r, i) * self
+        return x
+
+    @functools.cached_property
+    def _lefts(self) -> list:
+        return [None] * self.r
 
     @functools.cached_property
     def inverse(self) -> "AffPerm":
@@ -251,11 +264,11 @@ def _leq_coxeter(y: AffPerm, w: AffPerm) -> bool:
     while not (y == w or y.is_identity()):
         if y.length >= w.length:
             return False
-        s = generator(y.r, min(w.left_descents))
-        sy = s * y
+        i = min(w.left_descents)
+        sy = y.left(i)
         if sy.length < y.length:
             y = sy
-        w = s * w
+        w = w.left(i)
     return True
 
 
@@ -282,21 +295,21 @@ def shared_elements() -> int:
 
 @functools.lru_cache(maxsize=None)
 def _lower_coxeter(w: AffPerm) -> frozenset[AffPerm]:
-    """The ideal {y <= w} in W', as below | s*below for below the ideal of s*w,
-    s the lowest left descent of w.  The chain of such steps is walked down to a
-    memoized ideal, then back up, in a loop: its length is l(w), too deep for
-    recursion."""
+    """The ideal {y <= w} in W', as below | s_i*below for below the ideal of
+    s_i*w, s_i the lowest left descent of w, each s_i*y read from the table of
+    y.  The chain of such steps is walked down to a memoized ideal, then back
+    up, in a loop: its length is l(w), too deep for recursion."""
     below = _LOWER.get(w)
     chain = []
     while below is None and not w.is_identity():
-        s = generator(w.r, min(w.left_descents))
-        chain.append((w, s))
-        w = s * w
+        i = min(w.left_descents)
+        chain.append((w, i))
+        w = w.left(i)
         below = _LOWER.get(w)
     if below is None:
         below = _LOWER[w] = frozenset([w])
-    for v, s in reversed(chain):
-        below = _LOWER[v] = below | frozenset(s * y for y in below)
+    for v, i in reversed(chain):
+        below = _LOWER[v] = below | frozenset([y.left(i) for y in below])
     return below
 
 

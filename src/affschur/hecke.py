@@ -29,7 +29,8 @@ rho twist).  A row is full once it holds every y <= w; filling the row of w
 adds zero records to the row of v for the y in [e, w] outside [e, v].  A
 loaded row is checked against [e, w] when first read: a nonzero record with
 y not <= w raises KLInvariantViolation.  The kernel steps are memoized on
-interned values, and each stored value passes kl_shaped (checked once per
+interned values, each s_i y is read from the generator table of y
+(AffPerm.left), and each stored value passes kl_shaped (checked once per
 value) and the degree bound (per record).  In
 kl_memo_stats, `computed` counts the records the kernel stored, zero records
 included, and `hits` the reads served from the memo.  Correctness is not taken
@@ -43,11 +44,11 @@ otherwise (Kazhdan-Lusztig 1979, (2.3.a-b)).  With s the lowest left descent
 of x = s x' this gives C_x C_y = C_s (C_x' C_y) - sum mu(z, x') C_z C_y, again
 over z < x' with sz < z.  Besides the mu-lists, one memo serves it: every
 product on (x, y) this rule forms, made from an explicit work stack (the
-products of x' and of those z first, so nothing recurses per letter) and held
-once, as a read-only mapping in sort_key order that h_expansion hands out as
-it is.  The lru_cache of _h_expansion_core only counts the pairs that callers
-ask for.  The T-basis route (h_mul of the two C_w, peeled back by t_to_c)
-stays as the oracle.
+products of x' and of those z first, so nothing recurses per letter; a frame
+keeps s, x' and the z of x, worked out once) and held once, as a read-only
+mapping in sort_key order that h_expansion hands out as it is.  The lru_cache
+of _h_expansion_core only counts the pairs that callers ask for.  The T-basis
+route (h_mul of the two C_w, peeled back by t_to_c) stays as the oracle.
 
 Polynomials in q are represented in t with even exponents throughout.
 """
@@ -292,11 +293,10 @@ _POLYS = _Memo(lambda p: p)  # _POLYS[p] is the one object equal to p
 _POLYS.update({ZERO: ZERO, ONE: ONE})
 _C_COEFFS = _Memo(lambda p, length: p * t_pow(-length))
 # The row kernel's memos, over interned values: (P_{sy,v}, P_{y,v}, sy < y) ->
-# the step-1 value; (value, mu, k, P_{y,z}) -> value - mu t^k P_{y,z}; (y, i) ->
-# s_i y; a value -> its t-degree if kl_shaped, else infinity.
+# the step-1 value; (value, mu, k, P_{y,z}) -> value - mu t^k P_{y,z}; a value ->
+# its t-degree if kl_shaped, else infinity.  s_i y is read from the table of y.
 _STEPS = _Memo(lambda a, b, down: _POLYS[a + Q * b if down else Q * a + b])
 _CORRECTIONS = _Memo(lambda val, mu, k, p: _POLYS[val - p * t_pow(k, mu)])
-_LEFT = _Memo(lambda y, i: affperm.generator(y.r, i) * y)
 _DEGREES = _Memo(lambda p: p.degree() if kl_shaped(p) else float("inf"))
 
 
@@ -304,7 +304,7 @@ def kl_memo_stats() -> dict:
     return dict(_KL_STATS, entries=sum(map(len, list(_KL.values()))), full_rows=len(_FULL),
                 distinct_polys=len(_POLYS), shared_elements=affperm.shared_elements(),
                 kernel_memos={"steps": len(_STEPS), "corrections": len(_CORRECTIONS),
-                              "left": len(_LEFT), "degrees": len(_DEGREES)})
+                              "degrees": len(_DEGREES)})
 
 
 def kl_memo() -> dict[tuple[AffPerm, AffPerm], LaurentPoly]:
@@ -385,7 +385,7 @@ def _kl_row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
             _store(_KL[u], {u: ONE})
         else:
             i = min(u.left_descents)
-            v = affperm.generator(u.r, i) * u
+            v = u.left(i)
             if not _full(v):
                 stack.append(v)
                 continue
@@ -404,9 +404,10 @@ def _fill_row(w: AffPerm, i: int, v: AffPerm, zs: list[tuple[AffPerm, int]]) -> 
     off each full row z in zs over its ideal [e, z] (no test y <= z per pair)."""
     lower = bruhat_lower(w)
     prev = _KL[v]
-    # the y in [e, w] outside [e, v] enter the row of v as zero records
-    _store(prev, dict.fromkeys(lower, ZERO))
-    new = {y: _STEPS[prev[_LEFT[y, i]], prev[y], i in y.left_descents] for y in lower}
+    # the y in [e, w] outside [e, v] enter the row of v as zero records (the
+    # set difference reads the stored hashes: no __hash__ calls)
+    _store(prev, dict.fromkeys(lower.difference(prev), ZERO))
+    new = {y: _STEPS[prev[y.left(i)], prev[y], i in y.left_descents] for y in lower}
     lw = w.length
     for z, mu in zs:
         k, row = lw - z.length, _KL[z]
@@ -496,12 +497,12 @@ def c_to_t(a: HeckeElt) -> HeckeElt:
 _T_PLUS_TINV = T + TINV
 
 
-def _add_left_gen(out: dict, i: int, s: AffPerm, w: AffPerm, c: LaurentPoly) -> None:
+def _add_left_gen(out: dict, i: int, w: AffPerm, c: LaurentPoly) -> None:
     """Add c * C_{s_i} C_w to the C-basis term dict out (W-graph rule)."""
     if i in w.left_descents:
         out[w] = out.get(w, ZERO) + c * _T_PLUS_TINV
         return
-    sw = s * w
+    sw = w.left(i)
     out[sw] = out.get(sw, ZERO) + c
     for z, mu in _mu_list(w):
         if i in z.left_descents:
@@ -517,32 +518,37 @@ def _c_product(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
     For s = s_i the lowest left descent of x and x' = sx, C_x C_v is
     C_s (C_x' C_v) - sum mu(z, x') C_z C_v over z < x' with sz < z.  An explicit
     work stack makes the products of x' and of those z first, in the order a
-    recursion would, in place of a recursion l(u) deep."""
+    recursion would, in place of a recursion l(u) deep.  A frame [x, i, x', zs]
+    keeps the step of x, so a revisit only reads the products it waits for."""
     done = _made(u, v)
     if done is not None:
         return done
-    stack = [u]
+    stack = [[u, None, None, None]]
     while stack:
-        x = stack[-1]
+        frame = stack[-1]
+        x, i, xp, zs = frame
         if (x, v) in _PRODUCTS:
             stack.pop()
             continue
-        i = min(x.left_descents)
-        xp = _LEFT[x, i]
+        if i is None:
+            i = min(x.left_descents)
+            xp = x.left(i)
+            frame[1:3] = i, xp
         first = _made(xp, v)
         if first is None:
-            stack.append(xp)
+            stack.append([xp, None, None, None])
             continue
-        zs = [(z, mu, _made(z, v)) for z, mu in _mu_list(xp) if i in z.left_descents]
-        todo = [z for z, _, p in zs if p is None]
+        if zs is None:
+            zs = frame[3] = [(z, mu) for z, mu in _mu_list(xp) if i in z.left_descents]
+        made = [_made(z, v) for z, _ in zs]
+        todo = [z for (z, _), p in zip(zs, made) if p is None]
         if todo:
-            stack += reversed(todo)
+            stack += ([z, None, None, None] for z in reversed(todo))
             continue
         out: dict[AffPerm, LaurentPoly] = {}
-        s = affperm.generator(x.r, i)
         for w, c in first.items():
-            _add_left_gen(out, i, s, w, c)
-        for _, mu, p in zs:
+            _add_left_gen(out, i, w, c)
+        for (_, mu), p in zip(zs, made):
             for w, c in p.items():
                 out[w] = out.get(w, ZERO) - c * mu
         terms = sorted(((w, c) for w, c in out.items() if not c.is_zero()),

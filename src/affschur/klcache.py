@@ -11,10 +11,11 @@ A load checks every record before the memo sees it, and counts a record that
 fails as a corrupt line: both windows must build elements of W' (rho-degree
 0), the coefficients of P must be integers or integer strings, P_{w,w} must be
 1, P_{y,w} must pass hecke.kl_shaped and have t-degree at most l(w) - l(y) - 1,
-and r may be at most MAX_PERIOD; whether y <= w holds needs the lower ideals
-and is not checked.  Each distinct window becomes one element, and each
-distinct P one polynomial, parsed and shape-checked once; P_{w,w} = 1 and the
-degree bound are checked per record.
+and r may be at most MAX_PERIOD.  Whether y <= w holds needs the lower ideals:
+hecke checks it when a row is first read, and scan_stats counts the nonzero
+records with y not <= w as not_below_w.  Each distinct window becomes one
+element, and each distinct P one polynomial, parsed and shape-checked once;
+P_{w,w} = 1 and the degree bound are checked per record.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 
 from . import hecke
-from .affperm import MAX_PERIOD, AffPerm
+from .affperm import MAX_PERIOD, AffPerm, bruhat_lower
 from .errors import CacheIoError, InvalidWindow
 from .laurent import ONE, LaurentPoly
 
@@ -62,6 +63,7 @@ class KLCache:
         done = self._persisted
         rows = sorted(hecke.kl_memo_rows(), key=lambda item: (item[0].r, item[0].window))
         written = 0
+        texts: dict = {}  # the text of each P and window, shared by the rows
         fh = None
         try:
             for w, row in rows:
@@ -69,7 +71,8 @@ class KLCache:
                 fresh = sorted((y for y in row if y not in seen), key=lambda y: y.window)
                 if not fresh:
                     continue
-                chunk = "".join(_lines((w.r, y.window, w.window, row[y]) for y in fresh)).encode()
+                chunk = "".join(_lines(((w.r, y.window, w.window, row[y]) for y in fresh),
+                                       texts)).encode()
                 if fh is None:
                     fh = open(self.path, "ab", buffering=0)
                 if fh.write(chunk) != len(chunk):
@@ -95,18 +98,22 @@ class KLCache:
         }
 
 
-def _lines(records) -> list[str]:
+def _lines(records, texts: "dict | None" = None) -> list[str]:
     """One cache line per (r, y, w, P), each equal to the json.dumps of the
-    record with sorted keys and no spaces; the text of P is built once per
-    distinct polynomial."""
-    texts: dict[LaurentPoly, str] = {}
+    record with sorted keys and no spaces.  The text of each distinct P and
+    of each distinct window is built once, into texts, which several calls
+    may share."""
+    texts = {} if texts is None else texts
     out = []
     for r, y, w, p in records:
-        text = texts.get(p)
-        if text is None:
-            text = texts[p] = json.dumps(p.to_json(), sort_keys=True, separators=(",", ":"))
-        out.append(f'{{"P":{text},"r":{r},"w":[{",".join(map(str, w))}],'
-                   f'"y":[{",".join(map(str, y))}]}}\n')
+        pt, wt, yt = texts.get(p), texts.get(w), texts.get(y)
+        if pt is None:
+            pt = texts[p] = json.dumps(p.to_json(), sort_keys=True, separators=(",", ":"))
+        if wt is None:
+            wt = texts[w] = ",".join(map(str, w))
+        if yt is None:
+            yt = texts[y] = ",".join(map(str, y))
+        out.append(f'{{"P":{pt},"r":{r},"w":[{wt}],"y":[{yt}]}}\n')
     return out
 
 
@@ -193,9 +200,11 @@ def _plausible(y: AffPerm, w: AffPerm, p: LaurentPoly, shaped: bool) -> bool:
 def scan_stats(path: str) -> dict:
     """Inspect a cache file without touching the in-memory KL memo.  Like a
     load, it builds each valid element of the file, and elements are interned
-    for the life of the process."""
+    for the life of the process; it also builds the lower ideal of each row
+    with a nonzero record P_{y,w}, y != w, to count those with y not <= w."""
     records = 0
     corrupt = 0
+    not_below = 0
     per_r: dict[int, int] = {}
     seen = set()
     duplicates = 0
@@ -203,9 +212,11 @@ def scan_stats(path: str) -> dict:
         if rec is None:
             corrupt += 1
             continue
-        y, w, _ = rec
+        y, w, p = rec
         key = (y, w)
         records += 1
+        if y is not w and not p.is_zero() and y not in bruhat_lower(w):
+            not_below += 1
         per_r[w.r] = per_r.get(w.r, 0) + 1
         if key in seen:
             duplicates += 1
@@ -217,5 +228,6 @@ def scan_stats(path: str) -> dict:
         "unique": len(seen),
         "duplicates": duplicates,
         "corrupt_lines_skipped": corrupt,
+        "not_below_w": not_below,
         "per_r": {str(k): v for k, v in sorted(per_r.items())},
     }

@@ -43,7 +43,9 @@ NEG_INF = float("-inf")
 class LaurentPoly:
     """An element of Z[t, 1/t], stored as {exponent: nonzero coefficient}."""
 
-    __slots__ = ("_c", "_h")  # _h: the hash, kept on first use (a value never changes)
+    # _h: the hash and _j: the JSON dict, each kept on first use (a value
+    # never changes); to_json hands out copies of _j
+    __slots__ = ("_c", "_h", "_j")
 
     def __init__(self, coeffs: Mapping[int, int] | int = 0):
         if isinstance(coeffs, int):
@@ -246,8 +248,13 @@ class LaurentPoly:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict[str, str]:
-        """JSON object mapping decimal exponents to decimal coefficients."""
-        return {str(e): str(c) for e, c in sorted(self._c.items())}
+        """JSON object mapping decimal exponents to decimal coefficients: a
+        fresh copy, each call, of the dict kept on first use."""
+        try:
+            return self._j.copy()
+        except AttributeError:
+            self._j = j = {str(e): str(c) for e, c in sorted(self._c.items())}
+            return j.copy()
 
     @staticmethod
     def from_json(obj: Mapping[str, "str | int"]) -> "LaurentPoly":
@@ -382,7 +389,8 @@ class Combination:
 
     def to_json(self) -> dict:
         out = self._header()
-        out["terms"] = [dict(k.key_json(), coeff=self.terms[k].to_json()) for k in self.support()]
+        out["terms"] = [dict(k.key_json(), coeff=c.to_json())
+                        for k, c in sorted(self.terms.items(), key=lambda kc: kc[0].sort_key)]
         return out
 
     @classmethod

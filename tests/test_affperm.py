@@ -393,6 +393,24 @@ def perm_triples(draw):
     return tuple(from_word(r, draw(st.integers(-3, 3)), draw(words)) for _ in range(3))
 
 
+@st.composite
+def short_elements(draw):
+    """An element of W with r in 2..5 and length <= 10: a word of at most 10
+    letters times a rho-power."""
+    r = draw(st.integers(2, 5))
+    return from_word(r, draw(st.integers(-2, 2)), draw(st.lists(st.integers(0, r - 1), max_size=10)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(short_elements())
+def test_left_products_are_read_from_the_generator_table(y):
+    # the table's entry i is the interned s_i * y, and every read returns it
+    for i in range(y.r):
+        first = y.left(i)
+        assert first is generator(y.r, i) * y
+        assert y.left(i) is first
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(perm_triples())
 def test_group_laws(case):

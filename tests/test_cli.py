@@ -511,9 +511,13 @@ def test_loaded_records_with_y_not_below_w(tmp_path, P, expected):
         bogus.append(json.dumps({"P": P, "r": 3, "w": list(window), "y": list(y.window)},
                                 sort_keys=True, separators=(",", ":")))
     assert len(bogus) > 20
+    assert scan_stats(path)["not_below_w"] == 0
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n".join(bogus) + "\n")
-    assert scan_stats(path)["corrupt_lines_skipped"] == 0
+    stats = scan_stats(path)
+    assert stats["corrupt_lines_skipped"] == 0
+    # cache-stats builds the lower ideal of each row with a nonzero record
+    assert stats["not_below_w"] == (39 if P else 0)
     first = json.loads(bogus[0])
     built = subprocess.run([sys.executable, "-c", _LOAD_AND_BUILD, path,
                             ",".join(map(str, first["y"])), ",".join(map(str, first["w"]))],
@@ -611,6 +615,11 @@ def test_cache_lines_are_json_dumps_of_the_records(records):
                    sort_keys=True, separators=(",", ":")) + "\n"
         for r, y, w, p in records
     ]
+    # two calls through one shared text memo, as save_new makes one per row
+    texts = {}
+    half = len(records) // 2
+    assert klcache._lines(records[:half], texts) + klcache._lines(records[half:], texts) == lines
+    assert klcache._lines(records, texts) == lines
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "kl.jsonl")
         with open(path, "w", encoding="utf-8") as fh:

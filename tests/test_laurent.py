@@ -222,6 +222,18 @@ def test_json_roundtrip():
     assert LaurentPoly.from_json({}) == ZERO
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(_polys)
+def test_to_json_returns_a_fresh_dict(p):
+    # the JSON dict behind to_json is kept on the value; a caller's dict is its own
+    expected = {str(e): str(c) for e, c in p.items()}
+    first = p.to_json()
+    assert first == expected
+    first.clear()
+    first["99"] = "1"
+    assert p.to_json() == expected
+
+
 @pytest.mark.parametrize("obj", [
     {"0": " 1"}, {"0": "1 "}, {"0": "1_0"}, {"0": "+1"}, {"0": "\u0661"}, {"0": ""}, {"0": "--1"},
     {" 2": "1"}, {"2_0": "1"}, {"+2": "1"}, {"\u0662": "1"}, {"": "1"},

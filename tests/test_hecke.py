@@ -795,6 +795,36 @@ def test_golden_lazy_kl_path():
     assert proc.stdout.split() == ["f40b1f90707d2e74"]
 
 
+# The C-basis product memo: every product C_u C_v the W-graph rule forms, in
+# the order it was made, with its terms in the order they are handed out.  A
+# change to the order of the descent walk, or to which products it makes,
+# fails here even when every value stays right.
+_GOLDEN_PRODUCTS = """
+import hashlib, json
+from affschur import hecke
+from affschur.affperm import ball
+from affschur.asymptotic import q_suite
+elems = ball(3, 4)
+for x in elems:
+    for y in elems:
+        hecke.h_expansion(x, y)
+q_suite(3, 2, 2, (0, 0))
+h = hashlib.sha256()
+for (u, v), terms in hecke._PRODUCTS.items():
+    rec = [list(u.window), list(v.window), [[list(z.window), c.to_json()] for z, c in terms.items()]]
+    h.update((json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\\n").encode())
+print(len(hecke._PRODUCTS), h.hexdigest()[:16])
+"""
+
+
+def test_golden_products_memo():
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_PRODUCTS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["978", "1465eac1aff8f017"]
+
+
 @pytest.mark.parametrize("r,L", [(3, 6), (4, 4)])
 def test_mu_list_matches_brute_force(r, L):
     for w in ball(r, L):

@@ -22,6 +22,7 @@ from typing import Mapping
 from .affperm import AffPerm, ball, identity, rho_conjugate
 from .errors import BasisMismatch, UncertifiedAValue, UncertifiedBoundary, WindowExceeded
 from .hecke import HeckeElt, h_expansion, kl_poly
+from .interned import Memo
 from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear
 from .parabolic import (
     Composition,
@@ -101,10 +102,6 @@ class AValue:
         }
 
 
-_A_CACHE: dict[tuple[AffPerm, int], AValue] = {}
-_CERTIFIED: dict[tuple[AffPerm, int], AValue] = {}
-
-
 class _Scan:
     """One resumable pass over ball(r, radius) x ball(r, radius), x before y.
 
@@ -140,7 +137,8 @@ class _Scan:
         return max(hits, key=lambda e: (e[0], -e[1]), default=None)
 
 
-_SCANS: dict[tuple[int, int], _Scan] = {}
+# (r, radius) -> the one shared scan of that ball
+_SCANS = Memo(_Scan)
 
 
 def a_bounded(z: AffPerm, length_bound: int) -> AValue:
@@ -152,17 +150,14 @@ def a_bounded(z: AffPerm, length_bound: int) -> AValue:
     x before y in ball order, attaining it.  All queries at one (r, radius)
     share one resumable scan, so each product is read once.
     """
-    _, zf = z.omega_split()
-    key = (zf, length_bound)
-    hit = _A_CACHE.get(key)
-    if hit is not None:
-        return hit
-    r = z.r
+    return _A_CACHE[z.omega_split()[1], length_bound]
+
+
+def _a_scan(zf: AffPerm, length_bound: int) -> AValue:
+    r = zf.r
     cap = min(nu(r), delta_cap(zf))
     conjugates = {rho_conjugate(zf, b) for b in range(r)}
-    scan = _SCANS.get((r, length_bound))
-    if scan is None:
-        scan = _SCANS[r, length_bound] = _Scan(r, length_bound)
+    scan = _SCANS[r, length_bound]
     # h_{e,z,z} = 1 always contributes degree 0
     while True:
         top = scan.top(conjugates)
@@ -170,9 +165,7 @@ def a_bounded(z: AffPerm, length_bound: int) -> AValue:
         if best >= cap or not scan.step():
             break
     witness = (top[2], top[3]) if best else (identity(r), zf)
-    out = AValue(best, best == cap, witness, cap, length_bound)
-    _A_CACHE[key] = out
-    return out
+    return AValue(best, best == cap, witness, cap, length_bound)
 
 
 def certified_a(z: AffPerm, length_bound: int) -> AValue:
@@ -181,19 +174,21 @@ def certified_a(z: AffPerm, length_bound: int) -> AValue:
     The witness pairs needed for long elements live just past half their
     length, so the radius grows to that point and no further.
     """
-    _, zf = z.omega_split()
-    key = (zf, length_bound)
-    av = _CERTIFIED.get(key)
-    if av is not None:
-        return av
+    return _CERTIFIED[z.omega_split()[1], length_bound]
+
+
+def _certify(zf: AffPerm, length_bound: int) -> AValue:
     max_radius = max(length_bound, (zf.length + 3) // 2 + 1)
     radius = length_bound
     av = a_bounded(zf, radius)
     while not av.certified and radius < max_radius:
         radius += 1
         av = a_bounded(zf, radius)
-    _CERTIFIED[key] = av
     return av
+
+
+# (z in W', radius) -> a_bounded(z, radius), and -> certified_a(z, radius)
+_A_CACHE, _CERTIFIED = Memo(_a_scan), Memo(_certify)
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +583,13 @@ class _Window:
         self.by_color: dict[tuple, list[PeriodicMatrix]] = {}
         for A in self.mats:
             self.by_color.setdefault((A.ro, A.co), []).append(A)
-        self._gamma: dict[tuple, dict[PeriodicMatrix, int]] = {}
+        self._gamma = Memo(lambda A, B: gamma_mat_expansion(A, B, length_bound))
         self._hits: dict[PeriodicMatrix, list[tuple[PeriodicMatrix, int]]] = {}
 
     def gamma(self, A: PeriodicMatrix, B: PeriodicMatrix) -> dict[PeriodicMatrix, int]:
         """All nonzero gamma_{A,B,C}, as gamma_mat_expansion(A, B): it raises
         UncertifiedAValue for a product with a term of uncertified a-value."""
-        gm = self._gamma.get((A, B))
-        if gm is None:
-            gm = self._gamma[A, B] = gamma_mat_expansion(A, B, self.length_bound)
-        return gm
+        return self._gamma[A, B]
 
     def a(self, A: PeriodicMatrix) -> int:
         """The certified a(A); UncertifiedAValue if the window could not certify it."""
@@ -842,13 +834,10 @@ def _q11(w: _Window, t: _Tally) -> None:
     A^t are the likeliest C, so they go first; with no witness inside the
     window the pair is skipped.  The E in the support of t_A t_C are listed
     once per (A, colour of C), so each pair only reads gamma_{E,B}."""
-    reach: dict[tuple, tuple[list[PeriodicMatrix], Exception | None]] = {}
+    reach = Memo(lambda A, color: _q11_reach(w, A, color))
     for A, B in w.equal_a["LR"]:
         with t:
-            color = (A.co, B.ro)
-            if (A, color) not in reach:
-                reach[A, color] = _q11_reach(w, A, color)
-            middle, undecided = reach[A, color]
+            middle, undecided = reach[A, (A.co, B.ro)]
             if not any(w.gamma(E, B) for E in middle):
                 if undecided:
                     raise undecided.with_traceback(None)

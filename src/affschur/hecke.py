@@ -16,39 +16,38 @@ d T_x, naming x and d by table-local dense ids (int-keyed, as du Cloux's tables
 are).  h_bar and psi share one kernel: the terms are grouped by equal
 coefficient, the codes of a group counted in C, and each distinct code summed once.
 
-Kazhdan-Lusztig polynomials come from the classical left-multiplication
-recursion, a row at a time.  For s the lowest-index left descent of w and
-v = sw, one pass over y <= w sets P_{y,w} = P_{sy,v} + q P_{y,v} if sy < y,
-else q P_{sy,v} + P_{y,v}, less mu(z, v) t^{l(w)-l(z)} P_{y,z} over the z with
-sz < z, read off each row z over [e, z].  A work stack fills the rows of v and
-of those z first, so nothing recurses per letter.  One list per w of the
-nonzero mu(z, w), z < w with l(w) - l(z) odd, feeds this kernel and the
-C-basis product below.  The memo holds one row per w, y -> P_{y,w}, as du
-Cloux keeps KL data per w; y and w lie in W' (P is invariant under a common
-rho twist).  A row is full once it holds every y <= w; filling the row of w
-adds zero records to the row of v for the y in [e, w] outside [e, v].  A
-loaded row is checked against [e, w] when first read: a nonzero record with
-y not <= w raises KLInvariantViolation.  The kernel steps are memoized on
-interned values, each s_i y is read from the generator table of y
-(AffPerm.left), and each stored value passes kl_shaped (checked once per
-value) and the degree bound (per record).  In
-kl_memo_stats, `computed` counts the records the kernel stored, zero records
-included, and `hits` the reads served from the memo.  Correctness is not taken
-on faith: the acceptance suite re-derives bar(C_w) = C_w and the degree bounds
-over whole balls.
+Both canonical-basis computations below run one recursion, Kazhdan-Lusztig's
+rule along the lowest-index left descent s = s_i of x: f(x) is made from
+f(sx) and from f(z) for the z with mu(z, sx) != 0 and sz < z.  One driver,
+_descend, runs it on an explicit work stack (f(sx), then those f(z), before
+f(x), in the order a recursion would), so nothing recurses per letter.  One
+list per w of the nonzero mu(z, w), z < w with l(w) - l(z) odd, and one memo
+of its filter by sz < z per (w, i), feed both.
+
+Kazhdan-Lusztig polynomials are made a row at a time.  For v = sw, one pass
+over y <= w sets P_{y,w} = P_{sy,v} + q P_{y,v} if sy < y, else
+q P_{sy,v} + P_{y,v}, less mu(z, v) t^{l(w)-l(z)} P_{y,z} read off each row
+z over [e, z].  The memo holds one row per w, y -> P_{y,w}, as du Cloux
+keeps KL data per w; y and w lie in W' (P is invariant under a common rho
+twist).  A row is full once it holds every y <= w; filling the row of w adds
+zero records to the row of v for the y in [e, w] outside [e, v].  A loaded
+row is checked against [e, w] when first read: a nonzero record with y not
+<= w raises KLInvariantViolation.  The kernel steps are memoized on interned
+values, each s_i y is read from the generator table of y (AffPerm.left), and
+each stored value passes kl_shaped (checked once per value) and the degree
+bound (per record).  In kl_memo_stats, `computed` counts the records the
+kernel stored, zero records included, and `hits` the reads served from the
+memo.  Correctness is not taken on faith: the acceptance suite re-derives
+bar(C_w) = C_w and the degree bounds over whole balls.
 
 Structure constants are computed in the C-basis through the W-graph, never
 through the T-basis.  For s a simple reflection, C_s C_w = (t + 1/t) C_w when
 sw < w, and C_s C_w = C_{sw} + sum mu(z, w) C_z over z < w with sz < z
-otherwise (Kazhdan-Lusztig 1979, (2.3.a-b)).  With s the lowest left descent
-of x = s x' this gives C_x C_y = C_s (C_x' C_y) - sum mu(z, x') C_z C_y, again
-over z < x' with sz < z.  Besides the mu-lists, one memo serves it: every
-product on (x, y) this rule forms, made from an explicit work stack (the
-products of x' and of those z first, so nothing recurses per letter; a frame
-keeps s, x' and the z of x, worked out once) and held once, as a read-only
-mapping in sort_key order that h_expansion hands out as it is.  The lru_cache
-of _h_expansion_core only counts the pairs that callers ask for.  The T-basis
-route (h_mul of the two C_w, peeled back by t_to_c) stays as the oracle.
+otherwise (Kazhdan-Lusztig 1979, (2.3.a-b)).  So C_x C_y = C_s (C_sx C_y) -
+sum mu(z, sx) C_z C_y over the same z.  One memo holds every product on
+(x, y) the driver makes, once, as a read-only mapping in sort_key order that
+h_expansion hands out as it is.  The T-basis route (h_mul of the two C_w,
+peeled back by t_to_c) stays as the oracle.
 
 Polynomials in q are represented in t with even exponents throughout.
 """
@@ -66,6 +65,7 @@ from types import MappingProxyType
 from . import affperm
 from .affperm import AffPerm, bruhat_lower
 from .errors import BasisMismatch, KLInvariantViolation, PeriodMismatch
+from .interned import Memo
 from .laurent import (
     ONE, Q, QINV, T, TINV, ZERO, Combination, LaurentPoly, bilinear, linear, peel, t_pow,
 )
@@ -170,18 +170,6 @@ class _Ids(dict):
         return self[key]
 
 
-class _Memo(dict):
-    """A memo that computes a missing value as fill(*key) for a tuple key, else
-    fill(key); of two threads that both miss, the first to store wins."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        return self.setdefault(key, self.fill(*key) if type(key) is tuple else self.fill(key))
-
-
 # The bar table: _ROWS[y] holds T_{y^{-1}}^{-1} as a tuple of codes, one per
 # term d T_x, a code being the id of the pair (id of x, id of d).  The ids are
 # table-local: the bar oracle shares nothing with the KL layer.  Memos:
@@ -204,8 +192,8 @@ def _d_step(a: "int | None", d: int) -> int:
     return _COEFF_IDS[coeffs[d] * QINV if a is None else coeffs[a] + coeffs[d] * (QINV - 1)]
 
 
-_X_STEPS, _D_STEPS = _Memo(_x_step), _Memo(_d_step)
-_PRODUCT_TERMS = _Memo(lambda f: _Memo(lambda d: tuple((f * _COEFF_IDS.of[d]).items())))
+_X_STEPS, _D_STEPS = Memo(_x_step), Memo(_d_step)
+_PRODUCT_TERMS = Memo(lambda f: Memo(lambda d: tuple((f * _COEFF_IDS.of[d]).items())))
 
 
 def _bar_row(w: AffPerm) -> tuple[int, ...]:
@@ -284,27 +272,27 @@ def h_bar(a: HeckeElt) -> HeckeElt:
 # One row per w: _KL[w][y] = P_{y,w}, the row made on first use.  A row is full
 # once it holds every y <= w (_FULL); rows and records are stored with
 # setdefault, so threads sharing the memo lose nothing.
-_KL = _Memo(lambda w: {})
+_KL = Memo(lambda w: {})
 _FULL: set[AffPerm] = set()
 _KL_STATS = {"hits": 0, "computed": 0, "loaded": 0}
 # One object per distinct value (most records are 0, 1 or 1 + q), and one per
 # coefficient t^{-l} P of C_w; LaurentPoly values are never mutated in place.
-_POLYS = _Memo(lambda p: p)  # _POLYS[p] is the one object equal to p
+_POLYS = Memo(lambda p: p)  # _POLYS[p] is the one object equal to p
 _POLYS.update({ZERO: ZERO, ONE: ONE})
-_C_COEFFS = _Memo(lambda p, length: p * t_pow(-length))
+_C_COEFFS = Memo(lambda p, length: p * t_pow(-length))
 # The row kernel's memos, over interned values: (P_{sy,v}, P_{y,v}, sy < y) ->
 # the step-1 value; (value, mu, k, P_{y,z}) -> value - mu t^k P_{y,z}; a value ->
 # its t-degree if kl_shaped, else infinity.  s_i y is read from the table of y.
-_STEPS = _Memo(lambda a, b, down: _POLYS[a + Q * b if down else Q * a + b])
-_CORRECTIONS = _Memo(lambda val, mu, k, p: _POLYS[val - p * t_pow(k, mu)])
-_DEGREES = _Memo(lambda p: p.degree() if kl_shaped(p) else float("inf"))
+_STEPS = Memo(lambda a, b, down: _POLYS[a + Q * b if down else Q * a + b])
+_CORRECTIONS = Memo(lambda val, mu, k, p: _POLYS[val - p * t_pow(k, mu)])
+_DEGREES = Memo(lambda p: p.degree() if kl_shaped(p) else float("inf"))
 
 
 def kl_memo_stats() -> dict:
     return dict(_KL_STATS, entries=sum(map(len, list(_KL.values()))), full_rows=len(_FULL),
                 distinct_polys=len(_POLYS), shared_elements=affperm.shared_elements(),
                 kernel_memos={"steps": len(_STEPS), "corrections": len(_CORRECTIONS),
-                              "degrees": len(_DEGREES)})
+                              "degrees": len(_DEGREES), "mu_filter": len(_MU_FILTER)})
 
 
 def kl_memo() -> dict[tuple[AffPerm, AffPerm], LaurentPoly]:
@@ -371,46 +359,25 @@ def _full(w: AffPerm) -> bool:
 
 
 def _kl_row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
-    """The full row y -> P_{y,w} of w in W', filled first if need be.
-
-    A row is filled from full rows: that of v = sw, s the lowest left descent
-    of w, and that of each z in the mu-list of v with sz < z.  An explicit work
-    stack makes those full first, in place of a recursion l(w) deep."""
-    stack = [w]
-    while stack:
-        u = stack[-1]
-        if _full(u):
-            stack.pop()
-        elif u.is_identity():
-            _store(_KL[u], {u: ONE})
-        else:
-            i = min(u.left_descents)
-            v = u.left(i)
-            if not _full(v):
-                stack.append(v)
-                continue
-            zs = [(z, mu) for z, mu in _mu_list(v) if i in z.left_descents]
-            todo = [z for z, _ in zs if not _full(z)]
-            if todo:
-                stack += todo
-            else:
-                _fill_row(u, i, v, zs)
-    return _KL[w]
+    """The full row y -> P_{y,w} of w in W', filled first if need be, from the
+    full rows of v = sw and of each z in the mu-list of v with sz < z."""
+    return _descend(w, lambda u: _KL[u] if _full(u) else None,
+                    lambda e: _store(_KL[e], {e: ONE}), _fill_row)
 
 
-def _fill_row(w: AffPerm, i: int, v: AffPerm, zs: list[tuple[AffPerm, int]]) -> None:
-    """Fill the row of w in one pass: for s = s_i, P_{y,w} = P_{sy,v} + q P_{y,v}
-    if sy < y, else q P_{sy,v} + P_{y,v}, less mu(z,v) t^{l(w)-l(z)} P_{y,z} read
-    off each full row z in zs over its ideal [e, z] (no test y <= z per pair)."""
+def _fill_row(w: AffPerm, i: int, prev: dict[AffPerm, LaurentPoly], zs) -> None:
+    """Fill the row of w in one pass: for s = s_i, v = sw and prev the row of v,
+    P_{y,w} = P_{sy,v} + q P_{y,v} if sy < y, else q P_{sy,v} + P_{y,v}, less
+    mu(z,v) t^{l(w)-l(z)} P_{y,z} read off each full row z of zs ((z, mu), row)
+    over its ideal [e, z] (no test y <= z per pair)."""
     lower = bruhat_lower(w)
-    prev = _KL[v]
     # the y in [e, w] outside [e, v] enter the row of v as zero records (the
     # set difference reads the stored hashes: no __hash__ calls)
     _store(prev, dict.fromkeys(lower.difference(prev), ZERO))
     new = {y: _STEPS[prev[y.left(i)], prev[y], i in y.left_descents] for y in lower}
     lw = w.length
-    for z, mu in zs:
-        k, row = lw - z.length, _KL[z]
+    for (z, mu), row in zs:
+        k = lw - z.length
         for y in bruhat_lower(z):
             new[y] = _CORRECTIONS[new[y], mu, k, row[y]]
     for y, p in new.items():
@@ -446,6 +413,44 @@ def _mu_list(w: AffPerm) -> tuple[tuple[AffPerm, int], ...]:
             if mu:
                 out.append((z, mu))
     return tuple(out)
+
+
+# (w, i) -> the (z, mu) of the mu-list of w with s_i z < z: the one mu filter of
+# the W-graph rule, read by the descent driver and by _add_left_gen.
+_MU_FILTER = Memo(lambda w, i: tuple(p for p in _mu_list(w) if i in p[0].left_descents))
+
+
+def _descend(x: AffPerm, made, base, make):
+    """f(x) for x in W', made by Kazhdan-Lusztig's rule along lowest left descents.
+
+    made(y) is f(y) once it is made, else None.  For s = s_i the lowest left
+    descent of y, f(y) needs f(sy), then f(z) for each (z, mu) in
+    _MU_FILTER[sy, i], and make(y, i, f(sy), [((z, mu), f(z)), ...]) makes
+    it; base(y) makes f(y) for a y with no left descent.  An explicit work
+    stack makes them in the order a recursion would, in place of a recursion
+    l(x) deep, and reads the mu-list of sy only once f(sy) is made."""
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if made(y) is not None:
+            stack.pop()
+        elif not y.left_descents:
+            base(y)
+        else:
+            i = min(y.left_descents)
+            yp = y.left(i)
+            first = made(yp)
+            if first is None:
+                stack.append(yp)
+                continue
+            zs = _MU_FILTER[yp, i]
+            parts = [made(z) for z, _ in zs]
+            todo = [z for (z, _), p in zip(zs, parts) if p is None]
+            if todo:
+                stack += reversed(todo)
+            else:
+                make(y, i, first, zip(zs, parts))
+    return made(x)
 
 
 def kl_mu(y: AffPerm, w: AffPerm) -> int:
@@ -504,72 +509,37 @@ def _add_left_gen(out: dict, i: int, w: AffPerm, c: LaurentPoly) -> None:
         return
     sw = w.left(i)
     out[sw] = out.get(sw, ZERO) + c
-    for z, mu in _mu_list(w):
-        if i in z.left_descents:
-            out[z] = out.get(z, ZERO) + c * mu
+    for z, mu in _MU_FILTER[w, i]:
+        out[z] = out.get(z, ZERO) + c * mu
 
 
 _PRODUCTS: dict[tuple[AffPerm, AffPerm], Mapping[AffPerm, LaurentPoly]] = {}
 
 
-def _c_product(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
-    """C_u C_v, held in _PRODUCTS unless u = e.
+@functools.lru_cache(maxsize=None)
+def _h_expansion_core(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
+    """C_u C_v, held in _PRODUCTS unless u = e; the lru_cache only counts the
+    pairs h_expansion asks for.
 
     For s = s_i the lowest left descent of x and x' = sx, C_x C_v is
-    C_s (C_x' C_v) - sum mu(z, x') C_z C_v over z < x' with sz < z.  An explicit
-    work stack makes the products of x' and of those z first, in the order a
-    recursion would, in place of a recursion l(u) deep.  A frame [x, i, x', zs]
-    keeps the step of x, so a revisit only reads the products it waits for."""
-    done = _made(u, v)
-    if done is not None:
-        return done
-    stack = [[u, None, None, None]]
-    while stack:
-        frame = stack[-1]
-        x, i, xp, zs = frame
-        if (x, v) in _PRODUCTS:
-            stack.pop()
-            continue
-        if i is None:
-            i = min(x.left_descents)
-            xp = x.left(i)
-            frame[1:3] = i, xp
-        first = _made(xp, v)
-        if first is None:
-            stack.append([xp, None, None, None])
-            continue
-        if zs is None:
-            zs = frame[3] = [(z, mu) for z, mu in _mu_list(xp) if i in z.left_descents]
-        made = [_made(z, v) for z, _ in zs]
-        todo = [z for (z, _), p in zip(zs, made) if p is None]
-        if todo:
-            stack += ([z, None, None, None] for z in reversed(todo))
-            continue
+    C_s (C_x' C_v) - sum mu(z, x') C_z C_v over z < x' with sz < z, made by
+    the descent driver from the products of x' and of those z."""
+    cv = MappingProxyType({v: ONE})
+
+    def make(x, i, first, zs):
         out: dict[AffPerm, LaurentPoly] = {}
         for w, c in first.items():
             _add_left_gen(out, i, w, c)
-        for (_, mu), p in zip(zs, made):
+        for (_, mu), p in zs:
             for w, c in p.items():
                 out[w] = out.get(w, ZERO) - c * mu
         terms = sorted(((w, c) for w, c in out.items() if not c.is_zero()),
                        key=lambda p: p[0].sort_key)
         _PRODUCTS[x, v] = MappingProxyType(dict(terms))
-        stack.pop()
-    return _PRODUCTS[u, v]
 
-
-def _made(x: AffPerm, v: AffPerm) -> "Mapping[AffPerm, LaurentPoly] | None":
-    """C_x C_v if it is made (x = e, or held in _PRODUCTS), else None."""
-    hit = _PRODUCTS.get((x, v))
-    if hit is None and x.is_identity():
-        return MappingProxyType({v: ONE})
-    return hit
-
-
-@functools.lru_cache(maxsize=None)
-def _h_expansion_core(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
-    # counts the pairs h_expansion asks for; the products themselves live in _PRODUCTS
-    return _c_product(u, v)
+    # a held product is never 0, and made(e) is C_v, so base is never called
+    made = lambda x: _PRODUCTS.get((x, v)) or (cv if x.is_identity() else None)
+    return _descend(u, made, None, make)
 
 
 def h_expansion(x: AffPerm, y: AffPerm) -> Mapping[AffPerm, LaurentPoly]:

@@ -1,4 +1,4 @@
-"""One object per value for the immutable value classes.
+"""One object per value for the immutable value classes, and one memo class.
 
 A subclass declares its fields as class annotations, in order, and validates
 and normalizes them in ``__post_init__``.  The constructor validates, then
@@ -15,7 +15,7 @@ True
 
 from __future__ import annotations
 
-__all__ = ["Interned"]
+__all__ = ["Interned", "Memo"]
 
 
 class Interned:
@@ -55,3 +55,21 @@ class Interned:
     def __reduce__(self):
         # copy and pickle rebuild through the constructor: the canonical object
         return type(self), tuple(map(self.__dict__.__getitem__, self._fields))
+
+
+class Memo(dict):
+    """The get-or-fill memo table of the package: a missing value is computed
+    as fill(*key) for a tuple key, else fill(key), and stored; of two threads
+    that both miss, the first to store wins.
+
+    >>> m = Memo(lambda *key: list(key))
+    >>> m[1, 2], m["k"], m[1, 2] is m[1, 2]
+    ([1, 2], ['k'], True)
+    """
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fill(*key) if type(key) is tuple else self.fill(key))

@@ -26,6 +26,7 @@ import os
 from . import hecke
 from .affperm import MAX_PERIOD, AffPerm, bruhat_lower
 from .errors import CacheIoError, InvalidWindow
+from .interned import Memo
 from .laurent import ONE, LaurentPoly
 
 __all__ = ["KLCache", "scan_stats"]
@@ -155,39 +156,28 @@ def _checked(path: str):
     in the module docstring, None for each line that is corrupt or fails one.
     Each distinct window is validated once, into one element, and
     hecke.kl_shaped runs once per distinct P."""
-    elements: dict[tuple, AffPerm | None] = {}
-    # keyed by id, each entry holding its P, so no id is reused while it reads
-    shaped: dict[int, tuple[LaurentPoly, bool]] = {}
+    elements, shaped = Memo(_element), Memo(hecke.kl_shaped)
     for rec in _records(path):
         if rec is not None:
             (r, y, w), poly = rec
-            y, w = _element(elements, r, y), _element(elements, r, w)
-            if y is not None and w is not None:
-                hit = shaped.get(id(poly))
-                if hit is None:
-                    hit = shaped[id(poly)] = poly, hecke.kl_shaped(poly)
-                if _plausible(y, w, poly, hit[1]):
-                    yield y, w, poly
-                    continue
+            y, w = elements[r, y], elements[r, w]
+            if y is not None and w is not None and _plausible(y, w, poly, shaped[poly]):
+                yield y, w, poly
+                continue
         yield None
 
 
-def _element(elements: dict, r: int, window: tuple) -> AffPerm | None:
+def _element(r: int, window: tuple) -> AffPerm | None:
     """The element of W' with this window, None if there is none or r is above
-    MAX_PERIOD; memoized.  Only a window of rho-degree 0 reaches the interning
+    MAX_PERIOD.  Only a window of rho-degree 0 reaches the interning
     constructor: a valid window has rho-degree 0 exactly when its entries sum
     to 1 + ... + r."""
-    key = (r, window)
-    x = elements.get(key, False)
-    if x is False:
-        x = None
-        if r <= MAX_PERIOD and sum(window) == r * (r + 1) // 2:
-            try:
-                x = AffPerm(r, window)
-            except InvalidWindow:
-                pass
-        elements[key] = x
-    return x
+    if r <= MAX_PERIOD and sum(window) == r * (r + 1) // 2:
+        try:
+            return AffPerm(r, window)
+        except InvalidWindow:
+            pass
+    return None
 
 
 def _plausible(y: AffPerm, w: AffPerm, p: LaurentPoly, shaped: bool) -> bool:

@@ -21,6 +21,7 @@ from . import hecke
 from .affperm import AffPerm, bruhat_lower
 from .errors import BasisMismatch, NotInModule
 from .hecke import HeckeElt, coset_sum_TD, h_bar, h_expansion, h_mul
+from .interned import Memo
 from .laurent import ONE, ZERO, Combination, LaurentPoly, bilinear, linear, peel, t_pow
 from .parabolic import (
     Composition,
@@ -223,8 +224,8 @@ def _max_terms(x: AffPerm, y: AffPerm, lam: Composition, nu: Composition) -> tup
 # Each product C_x C_y of maximal representatives is read once, keyed by
 # (x, y, lam, nu), and each quotient h / h_mu is taken once per distinct pair;
 # both are read by g_expansion and gamma_mat_expansion, not by the phi route.
-_MAX_TERMS = hecke._Memo(_max_terms)
-_QUOTIENTS = hecke._Memo(lambda h, hmu: h.exact_div(hmu))
+_MAX_TERMS = Memo(_max_terms)
+_QUOTIENTS = Memo(lambda h, hmu: h.exact_div(hmu))
 
 
 def max_rep_terms(A: PeriodicMatrix, B: PeriodicMatrix) -> tuple:

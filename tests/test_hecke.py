@@ -830,3 +830,7 @@ def test_mu_list_matches_brute_force(r, L):
     for w in ball(r, L):
         brute = {(z, kl_mu(z, w)) for z in affperm.bruhat_lower(w)}
         assert set(hecke._mu_list(w)) == {(z, mu) for z, mu in brute if mu}
+        # the shared mu filter of the W-graph rule: the z with s_i z < z
+        for i in range(r):
+            assert set(hecke._MU_FILTER[w, i]) == {
+                (z, mu) for z, mu in brute if mu and z.left(i).length < z.length}

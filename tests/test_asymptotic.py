@@ -347,6 +347,40 @@ def test_right_preorder_matches_the_flipped_left_preorder(elements):
     assert cell_preorder(elements, "LR").edges == sorted(set(left.edges) | set(right.edges))
 
 
+def _one_step_edges_by_side(elements, side: str) -> set[tuple[int, int]]:
+    """The one-step edges of one side, one product pass per side: the oracle
+    for the single pass that reads each product once for both sides."""
+    index = {k: i for i, k in enumerate(elements)}
+    edges = set()
+    for b in elements:
+        for c in elements:
+            x, y = (c, b) if side == "L" else (b, c)
+            if isinstance(x, AffPerm):
+                support = h_expansion(x, y).keys()
+            elif x.co != y.ro:
+                continue
+            else:
+                support = (C for C, _ in g_expansion(x, y))
+            for a in support:
+                ia = index.get(a)
+                if ia is not None:
+                    edges.add((ia, index[b]))
+    return edges
+
+
+@pytest.mark.parametrize("elements", [
+    ball(2, 4),
+    ball(3, 3),
+    enumerate_theta(2, 2, 2, (-1, 1)),
+    enumerate_theta(2, 3, 2, (0, 0)),  # two uncertified a-values
+], ids=["ball24", "ball33", "win222", "win232-rho0"])
+def test_one_step_edges_match_the_per_side_passes(elements):
+    elements = sorted(set(elements), key=lambda k: k.sort_key)
+    left, right = (_one_step_edges_by_side(elements, side) for side in "LR")
+    for flavor, edges in (("L", left), ("R", right), ("LR", left | right)):
+        assert cell_preorder(elements, flavor).edges == sorted(edges), flavor
+
+
 def _closure_by_search(n, edges) -> set:
     """The reflexive-transitive closure as index pairs, by a depth-first search
     from each node: the oracle for the bitset closure."""

@@ -457,15 +457,16 @@ def hecke_sim_L(x: AffPerm, y: AffPerm, length_bound: int = 4) -> bool:
     return bool(gamma_expansion(x, y.inverse, length_bound))
 
 
-def _one_step_edges(elements, side: str) -> set[tuple[int, int]]:
-    """The sound one-step edges (a, b), as indexes into elements: a lies in
-    the support of c.b (side L) or of b.c (side R) for some c in elements.
+def _one_step_edges(elements) -> dict[str, set[tuple[int, int]]]:
+    """The sound one-step edges (a, b) of each flavor, as indexes into
+    elements: a lies in the support of c.b (flavor L) or of b.c (flavor R)
+    for some c in elements, and LR is their union.  Each product x.y is read
+    once, y outer and x inner, for the L edge (a, y) and the R edge (a, x).
     Matrix pairs that do not compose (theta_x theta_y = 0) are skipped."""
     index = {k: i for i, k in enumerate(elements)}
-    edges = set()
-    for b in elements:
-        for c in elements:
-            x, y = (c, b) if side == "L" else (b, c)
+    left, right = set(), set()
+    for iy, y in enumerate(elements):
+        for ix, x in enumerate(elements):
             if isinstance(x, AffPerm):
                 support = h_expansion(x, y).keys()
             elif x.co != y.ro:
@@ -475,8 +476,9 @@ def _one_step_edges(elements, side: str) -> set[tuple[int, int]]:
             for a in support:
                 ia = index.get(a)
                 if ia is not None:
-                    edges.add((ia, index[b]))
-    return edges
+                    left.add((ia, iy))
+                    right.add((ia, ix))
+    return {"L": left, "R": right, "LR": left | right}
 
 
 def cell_preorder(elements, flavor: str = "L") -> CellReport:
@@ -493,7 +495,7 @@ def cell_preorder(elements, flavor: str = "L") -> CellReport:
         raise BasisMismatch(f"unknown cell flavor {flavor!r}")
     elements = sorted(set(elements), key=lambda k: k.sort_key)
     n = len(elements)
-    edges = set().union(*(_one_step_edges(elements, side) for side in flavor))
+    edges = _one_step_edges(elements)[flavor]
     reach = _reach(n, edges)
     # the cells are the classes of mutual reach
     cells = {tuple(j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1) for i in range(n)}
@@ -633,26 +635,21 @@ class _Window:
         return [(A, B) for A in self.certified for B in self.certified if A.co == B.ro]
 
     @functools.cached_property
-    def preorder(self) -> dict[str, list[tuple[PeriodicMatrix, PeriodicMatrix]]]:
-        """The L, R and LR preorders, from the sound one-step edges of in-window
-        products."""
-        win = self.mats
-        edges_L, edges_R = _one_step_edges(win, "L"), _one_step_edges(win, "R")
-        edges = {"L": edges_L, "R": edges_R, "LR": edges_L | edges_R}
-        return {
-            flavor: [(win[a], B) for a, bits in enumerate(_reach(len(win), e))
-                     for b, B in enumerate(win) if bits >> b & 1]
-            for flavor, e in edges.items()
-        }
+    def preorder(self) -> dict[str, list[int]]:
+        """The L, R and LR preorders, as the _reach rows over mats of the sound
+        one-step edges of in-window products."""
+        return {flavor: _reach(len(self.mats), e) for flavor, e in _one_step_edges(self.mats).items()}
 
-    @functools.cached_property
-    def equal_a(self) -> dict[str, list[tuple[PeriodicMatrix, PeriodicMatrix]]]:
-        """The pairs A != B of each preorder with certified a(A) = a(B)."""
+    def related(self, flavor: str, equal_a: bool = False):
+        """The pairs (A, B) with A <=_flavor B, row by row and bit by bit; with
+        equal_a, only those with A != B and certified a(A) = a(B)."""
         a = {A: av.value for A, av in self.aval.items() if av.certified}
-        return {
-            flavor: [(A, B) for A, B in rel if A != B and A in a and a.get(B) == a[A]]
-            for flavor, rel in self.preorder.items()
-        }
+        for A, bits in zip(self.mats, self.preorder[flavor]):
+            while bits:
+                B = self.mats[(bits & -bits).bit_length() - 1]
+                bits &= bits - 1
+                if not equal_a or A != B and A in a and a.get(B) == a[A]:
+                    yield A, B
 
     @functools.cached_property
     def q15_sub(self) -> tuple[list, dict, dict, dict]:
@@ -775,7 +772,7 @@ def _q3(w: _Window, t: _Tally) -> None:
 
 def _q4(w: _Window, t: _Tally) -> None:
     """Q4: A <=_LR B implies a(A) >= a(B)."""
-    for A, B in w.preorder["LR"]:
+    for A, B in w.related("LR"):
         with t:
             t.expect(w.a(A) >= w.a(B), {"A": A, "B": B})
 
@@ -823,7 +820,7 @@ def _q9_q10(w: _Window, t: _Tally, flavor: str) -> None:
     """Q9 (flavor L) and Q10 (flavor R): A <=_flavor B with a(A) = a(B)
     forces A ~flavor B."""
     sim = w.sim_L if flavor == "L" else w.sim_R
-    for A, B in w.equal_a[flavor]:
+    for A, B in w.related(flavor, equal_a=True):
         with t:
             t.expect(sim(A, B), {"A": A, "B": B})
 
@@ -835,7 +832,7 @@ def _q11(w: _Window, t: _Tally) -> None:
     window the pair is skipped.  The E in the support of t_A t_C are listed
     once per (A, colour of C), so each pair only reads gamma_{E,B}."""
     reach = Memo(lambda A, color: _q11_reach(w, A, color))
-    for A, B in w.equal_a["LR"]:
+    for A, B in w.related("LR", equal_a=True):
         with t:
             middle, undecided = reach[A, (A.co, B.ro)]
             if not any(w.gamma(E, B) for E in middle):

@@ -8,7 +8,6 @@ __all__ = [
     "AffschurError",
     "InexactDivision",
     "DivisionByZero",
-    "ZeroBase",
     "PeriodMismatch",
     "IndexOutOfRange",
     "InvalidWindow",
@@ -33,10 +32,6 @@ class InexactDivision(AffschurError, ArithmeticError):
 
 class DivisionByZero(AffschurError, ZeroDivisionError):
     """Division by the zero Laurent polynomial."""
-
-
-class ZeroBase(AffschurError, ZeroDivisionError):
-    """Evaluation of a Laurent polynomial at 0 (negative exponents blow up)."""
 
 
 class PeriodMismatch(AffschurError, ValueError):

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import MISSING, fields, replace
-from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping
 
-from .errors import BasisMismatch, DivisionByZero, InexactDivision, PeriodMismatch, ZeroBase
+from .errors import BasisMismatch, DivisionByZero, InexactDivision, PeriodMismatch
 
 __all__ = ["LaurentPoly", "ZERO", "ONE", "T", "TINV", "Q", "QINV", "NEG_INF", "t_pow",
            "Combination", "linear", "bilinear", "peel"]
@@ -205,14 +204,7 @@ class LaurentPoly:
         """True if every exponent is even, i.e. the value lies in Z[q, 1/q]."""
         return all(e % 2 == 0 for e in self._c)
 
-    # -- evaluation and division ------------------------------------------
-
-    def evaluate(self, v: "Fraction | int") -> Fraction:
-        """Exact evaluation at a nonzero rational value of t."""
-        v = Fraction(v)
-        if v == 0:
-            raise ZeroBase("cannot evaluate a Laurent polynomial at t = 0")
-        return sum((Fraction(c) * v**e for e, c in self._c.items()), Fraction(0))
+    # -- division ---------------------------------------------------------
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Return q with q * other == self, or raise InexactDivision."""

@@ -92,10 +92,6 @@ class Composition(Interned):
         k = (j - i) // self.n
         return k * self.r + self.cuts[i - 1] + 1
 
-    def block_size(self, j: int) -> int:
-        i = (j - 1) % self.n + 1
-        return self.parts[i - 1]
-
     def to_json(self) -> dict:
         return {"n": self.n, "parts": list(self.parts)}
 

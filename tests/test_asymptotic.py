@@ -377,6 +377,7 @@ def _one_step_edges_by_side(elements, side: str) -> set[tuple[int, int]]:
 def test_one_step_edges_match_the_per_side_passes(elements):
     elements = sorted(set(elements), key=lambda k: k.sort_key)
     left, right = (_one_step_edges_by_side(elements, side) for side in "LR")
+    assert asymptotic._one_step_edges(elements) == {"L": left, "R": right, "LR": left | right}
     for flavor, edges in (("L", left), ("R", right), ("LR", left | right)):
         assert cell_preorder(elements, flavor).edges == sorted(edges), flavor
 
@@ -417,9 +418,37 @@ def test_reach_and_cells_match_the_search_closure(graph):
     # the strongly-connected components, by a scan of the closure for mutual pairs
     sccs = {tuple(j for j in range(n) if (i, j) in closed and (j, i) in closed) for i in range(n)}
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(asymptotic, "_one_step_edges", lambda elements, side: edges)
+        m.setattr(asymptotic, "_one_step_edges", lambda elements: {"L": edges})
         report = cell_preorder(ball(2, 6)[:n], "L")
     assert report.cells == sorted(map(list, sccs))
+
+
+@st.composite
+def preorder_windows(draw):
+    """(n, r, L, omega_window) with r <= 3 and L <= 3; at r = 3 some a-values
+    are uncertified, and n = 3 keeps to rho-power 0."""
+    r = draw(st.integers(2, 3))
+    n, L = draw(st.integers(1, 5 - r)), draw(st.integers(1, 3))
+    if n == 3:
+        return n, r, L, (0, 0)
+    lo = draw(st.integers(-1, 1))
+    return n, r, L, (lo, lo + draw(st.integers(0, 1)))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(preorder_windows())
+@example((2, 3, 2, (0, 0)))
+def test_row_walk_yields_the_pairs_of_the_reach_rows(window):
+    # the pair lists of each flavor, built from the same rows as a list
+    # comprehension over every bit, with the equal-a filter applied per pair
+    w = asymptotic._Window(*window)
+    a = {A: av.value for A, av in w.aval.items() if av.certified}
+    for flavor, rows in w.preorder.items():
+        pairs = [(w.mats[i], B) for i, bits in enumerate(rows)
+                 for j, B in enumerate(w.mats) if bits >> j & 1]
+        assert list(w.related(flavor)) == pairs, flavor
+        equal = [(A, B) for A, B in pairs if A != B and A in a and a.get(B) == a[A]]
+        assert list(w.related(flavor, equal_a=True)) == equal, flavor
 
 
 def test_lusztig_phi_elt_is_the_per_key_sum():

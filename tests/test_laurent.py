@@ -2,14 +2,13 @@
 
 import doctest
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affschur import laurent
-from affschur.errors import DivisionByZero, InexactDivision, ZeroBase
+from affschur.errors import DivisionByZero, InexactDivision
 from affschur.laurent import (
     NEG_INF, ONE, Q, T, TINV, ZERO, LaurentPoly, bilinear, linear, peel, t_pow,
 )
@@ -60,15 +59,6 @@ def test_exact_div_examples():
         (T + 1).exact_div(T - 1)
     with pytest.raises(DivisionByZero):
         ONE.exact_div(ZERO)
-
-
-def test_eval_examples():
-    assert (T + TINV).evaluate(2) == Fraction(5, 2)
-    p = LaurentPoly({2: 3, 0: -1, -3: 4})
-    assert p.evaluate(1) == 3 - 1 + 4
-    assert ZERO.evaluate(Fraction(7, 2)) == 0
-    with pytest.raises(ZeroBase):
-        (T + 1).evaluate(0)
 
 
 def test_ring_axioms_randomized():

@@ -65,8 +65,7 @@ def test_block_indexing():
     two = Composition(2, (2, 0))
     assert two.block_of(1) == 1 and two.block_of(2) == 1
     assert two.block_of(3) == 3 and two.block_of(0) == -1
-    assert two.block_start(1) == 1 and two.block_size(1) == 2
-    assert two.block_size(2) == 0
+    assert two.block_start(1) == 1
 
 
 def test_young_elements():

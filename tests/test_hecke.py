@@ -825,6 +825,43 @@ def test_golden_products_memo():
     assert proc.stdout.split() == ["978", "1465eac1aff8f017"]
 
 
+# The lower-ideal memo and the bar table, both filled along descent chains: the
+# ideals in the order they were stored (those of the chains included), and
+# each stored bar row as the element it reads back.  A change to which chains
+# are walked, or to the order they are filled in, fails here.
+_GOLDEN_DESCENTS = """
+import hashlib, json
+from affschur import affperm, hecke
+from affschur.affperm import ball, bruhat_lower, from_word, rho
+from affschur.hecke import c_elt
+for w in ball(3, 6):
+    bruhat_lower(w)
+bruhat_lower(from_word(2, 0, [0, 1] * 40))
+for w in ball(4, 4):
+    c_elt(w)
+for w in ball(3, 5):
+    for a in (-1, 0, 1):
+        hecke._bar_t(w.shift(a))
+        hecke._bar_t(w * rho(3, a))
+h = hashlib.sha256()
+for w, below in affperm._LOWER.items():
+    rec = [list(w.window), sorted(list(y.window) for y in below)]
+    h.update((json.dumps(rec, separators=(",", ":")) + "\\n").encode())
+for w in sorted(hecke._ROWS, key=lambda w: (w.r, w.window)):
+    rec = [list(w.window), hecke._bar_t(w).to_json()]
+    h.update((json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\\n").encode())
+print(len(affperm._LOWER), len(hecke._ROWS), h.hexdigest()[:16])
+"""
+
+
+def test_golden_lower_ideals_and_bar_table():
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_DESCENTS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["214", "138", "a9f061fa8c5fcb67"]
+
+
 @pytest.mark.parametrize("r,L", [(3, 6), (4, 4)])
 def test_mu_list_matches_brute_force(r, L):
     for w in ball(r, L):

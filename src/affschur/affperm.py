@@ -35,6 +35,7 @@ __all__ = [
     "bruhat_leq",
     "bruhat_lower",
     "rho_conjugate",
+    "descend",
 ]
 
 # The largest period r that parsed input (a CLI argument or a KL-cache record)
@@ -293,24 +294,46 @@ def shared_elements() -> int:
     return len(AffPerm._table)
 
 
+def descend(x: AffPerm, made, base, make, deps=lambda y, i: ()):
+    """f(x), made by an induction on length along lowest left descents.
+
+    made(y) is f(y) once it is made, else None.  For s = s_i the lowest left
+    descent of y, f(y) needs f(sy), then f(z) for each (z, label) in
+    deps(sy, i), and make(y, i, f(sy), [((z, label), f(z)), ...]) makes it;
+    base(y) makes f(y) for a y with no left descent, a power of rho.  An
+    explicit work stack makes them in the order a recursion would, in place of
+    a recursion l(x) deep, and calls deps(sy, i) only once f(sy) is made."""
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if made(y) is not None:
+            stack.pop()
+        elif not y.left_descents:
+            base(y)
+        else:
+            i = min(y.left_descents)
+            yp = y.left(i)
+            first = made(yp)
+            if first is None:
+                stack.append(yp)
+                continue
+            zs = deps(yp, i)
+            parts = [made(z) for z, _ in zs]
+            todo = [z for (z, _), p in zip(zs, parts) if p is None]
+            if todo:
+                stack += reversed(todo)
+            else:
+                make(y, i, first, zip(zs, parts))
+    return made(x)
+
+
 @functools.lru_cache(maxsize=None)
 def _lower_coxeter(w: AffPerm) -> frozenset[AffPerm]:
-    """The ideal {y <= w} in W', as below | s_i*below for below the ideal of
-    s_i*w, s_i the lowest left descent of w, each s_i*y read from the table of
-    y.  The chain of such steps is walked down to a memoized ideal, then back
-    up, in a loop: its length is l(w), too deep for recursion."""
-    below = _LOWER.get(w)
-    chain = []
-    while below is None and not w.is_identity():
-        i = min(w.left_descents)
-        chain.append((w, i))
-        w = w.left(i)
-        below = _LOWER.get(w)
-    if below is None:
-        below = _LOWER[w] = frozenset([w])
-    for v, i in reversed(chain):
-        below = _LOWER[v] = below | frozenset([y.left(i) for y in below])
-    return below
+    """The ideal {y <= w} in W', made by descend as below | s_i*below for below
+    the ideal of s_i*w, each s_i*y read from the table of y."""
+    return descend(w, _LOWER.get, lambda e: _LOWER.setdefault(e, frozenset([e])),
+                   lambda v, i, below, _: _LOWER.setdefault(
+                       v, below | frozenset([y.left(i) for y in below])))
 
 
 def bruhat_lower(w: AffPerm) -> frozenset[AffPerm]:

@@ -8,8 +8,8 @@ positive canonical basis and C'_w = (-1)^{l(w)} j(C_w) its signed twin; both
 are bar-invariant.
 
 The bar involution sends T_w to T_{w^{-1}}^{-1}.  That element is built once
-per w from a shorter one, by a single right multiplication by T_s^{-1} =
-q^{-1} T_s + (q^{-1} - 1) for s the lowest right descent of w, and is memoized;
+per w from that of sw, for s the lowest left descent of w, with T_s^{-1} =
+q^{-1} T_s + (q^{-1} - 1) on the left, by the descent driver, and is memoized;
 it uses the T-basis rule alone and never the KL layer, so bar(C_w) = C_w stays
 an independent oracle.  The table holds it as integer codes, one per term
 d T_x, naming x and d by table-local dense ids (int-keyed, as du Cloux's tables
@@ -18,9 +18,9 @@ coefficient, the codes of a group counted in C, and each distinct code summed on
 
 Both canonical-basis computations below run one recursion, Kazhdan-Lusztig's
 rule along the lowest-index left descent s = s_i of x: f(x) is made from
-f(sx) and from f(z) for the z with mu(z, sx) != 0 and sz < z.  One driver,
-_descend, runs it on an explicit work stack (f(sx), then those f(z), before
-f(x), in the order a recursion would), so nothing recurses per letter.  One
+f(sx) and from f(z) for the z with mu(z, sx) != 0 and sz < z.  The package's
+one descent driver, affperm.descend, makes them in the order a recursion
+would, on an explicit work stack, so nothing recurses per letter.  One
 list per w of the nonzero mu(z, w), z < w with l(w) - l(z) odd, and one memo
 of its filter by sz < z per (w, i), feed both.
 
@@ -34,11 +34,12 @@ zero records to the row of v for the y in [e, w] outside [e, v].  A loaded
 row is checked against [e, w] when first read: a nonzero record with y not
 <= w raises KLInvariantViolation.  The kernel steps are memoized on interned
 values, each s_i y is read from the generator table of y (AffPerm.left), and
-each stored value passes kl_shaped (checked once per value) and the degree
-bound (per record).  In kl_memo_stats, `computed` counts the records the
-kernel stored, zero records included, and `hits` the reads served from the
-memo.  Correctness is not taken on faith: the acceptance suite re-derives
-bar(C_w) = C_w and the degree bounds over whole balls.
+each stored record passes kl_record_valid, the check a cache load also makes
+(the shape once per value, the degree bound per record).  In kl_memo_stats,
+`computed` counts the records the kernel stored, zero records included, and
+`hits` the reads served from the memo.  Correctness is not taken on faith:
+the acceptance suite re-derives bar(C_w) = C_w and the degree bounds over
+whole balls.
 
 Structure constants are computed in the C-basis through the W-graph, never
 through the T-basis.  For s a simple reflection, C_s C_w = (t + 1/t) C_w when
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import affperm
-from .affperm import AffPerm, bruhat_lower
+from .affperm import AffPerm, bruhat_lower, descend
 from .errors import BasisMismatch, KLInvariantViolation, PeriodMismatch
 from .interned import Memo
 from .laurent import (
@@ -90,6 +91,7 @@ __all__ = [
     "psi",
     "is_in_H_IJ",
     "kl_shaped",
+    "kl_record_valid",
     "kl_memo_stats",
     "kl_memo",
     "kl_memo_rows",
@@ -170,10 +172,11 @@ class _Ids(dict):
         return self[key]
 
 
-# The bar table: _ROWS[y] holds T_{y^{-1}}^{-1} as a tuple of codes, one per
+# The bar table: _ROWS[y] holds T_{y^{-1}}^{-1}, made by descend from the row
+# of s_i y for s_i the lowest left descent of y, as a tuple of codes, one per
 # term d T_x, a code being the id of the pair (id of x, id of d).  The ids are
 # table-local: the bar oracle shares nothing with the KL layer.  Memos:
-# (id of x, i) -> (id of x s_i, x s_i > x); (a, d) -> the id of q^{-1} d for a
+# (id of x, i) -> (id of s_i x, s_i x > x); (a, d) -> the id of q^{-1} d for a
 # None, else of a + (q^{-1} - 1) d; f -> {id of d: terms of f d}, per factor f met.
 _IDS_LOCK = threading.Lock()
 _KEY_IDS, _COEFF_IDS, _CODES = _Ids(), _Ids(), _Ids()
@@ -183,8 +186,8 @@ _ROWS: dict[AffPerm, tuple[int, ...]] = {}
 
 def _x_step(x: int, i: int) -> tuple[int, bool]:
     u = _KEY_IDS.of[x]
-    us = u * affperm.generator(u.r, i)
-    return _KEY_IDS[us], us.length > u.length
+    su = u.left(i)
+    return _KEY_IDS[su], su.length > u.length
 
 
 def _d_step(a: "int | None", d: int) -> int:
@@ -197,35 +200,27 @@ _PRODUCT_TERMS = Memo(lambda f: Memo(lambda d: tuple((f * _COEFF_IDS.of[d]).item
 
 
 def _bar_row(w: AffPerm) -> tuple[int, ...]:
-    """The codes of T_{w^{-1}}^{-1}, built once per w.
+    """The codes of T_{w^{-1}}^{-1}, built once per w by descend.
 
-    For s the lowest-index right descent of w, T_{w^{-1}}^{-1} equals
-    T_{(ws)^{-1}}^{-1} T_s^{-1}; with no right descent w = rho^a is its own value.
-    The chain of such steps is walked down to a stored row, then back up, in a
-    loop: its length is l(w), too deep for recursion.  Each step maps T_x to
-    T_x T_s^{-1} = q^{-1} T_{xs} + (q^{-1} - 1) T_x if xs > x, else to T_{xs}.
+    For s the lowest-index left descent of w, T_{w^{-1}}^{-1} equals
+    T_s^{-1} T_{(sw)^{-1}}^{-1}; with no left descent w = rho^a is its own value.
     """
-    row = _ROWS.get(w)
-    chain = []
-    while row is None and w.right_descents:
-        i = min(w.right_descents)
-        chain.append((w, i))
-        w = w * affperm.generator(w.r, i)
-        row = _ROWS.get(w)
-    if row is None:
-        row = _ROWS.setdefault(w, (_CODES[_KEY_IDS[w], _ONE_ID],))
-    pairs = _CODES.of
-    for v, i in reversed(chain):
-        old = dict(map(pairs.__getitem__, row))
-        new = {}
-        for x, d in old.items():
-            xs, up = _X_STEPS[x, i]
-            if up:
-                new[xs] = _D_STEPS[None, d]
-                new[x] = _D_STEPS[old.get(xs, _ZERO_ID), d]
-            # else T_x T_s^{-1} = T_xs, added at xs: xs < x lies in [e, ws], the row's support
-        row = _ROWS.setdefault(v, tuple(_CODES[p] for p in new.items() if p[1] != _ZERO_ID))
-    return row
+    return descend(w, _ROWS.get, lambda e: _ROWS.setdefault(e, (_CODES[_KEY_IDS[e], _ONE_ID],)),
+                   _bar_step)
+
+
+def _bar_step(w: AffPerm, i: int, row: tuple[int, ...], _) -> None:
+    """Store the row of w from the row of s_i w, mapping each T_x to
+    T_s^{-1} T_x = q^{-1} T_{sx} + (q^{-1} - 1) T_x if sx > x, else to T_{sx}."""
+    old = dict(map(_CODES.of.__getitem__, row))
+    new = {}
+    for x, d in old.items():
+        sx, up = _X_STEPS[x, i]
+        if up:
+            new[sx] = _D_STEPS[None, d]
+            new[x] = _D_STEPS[old.get(sx, _ZERO_ID), d]
+        # else T_s^{-1} T_x = T_sx, added at sx: sx < x lies in [e, sw], the row's support
+    _ROWS.setdefault(w, tuple(_CODES[p] for p in new.items() if p[1] != _ZERO_ID))
 
 
 def _bar_t(w: AffPerm) -> HeckeElt:
@@ -361,8 +356,8 @@ def _full(w: AffPerm) -> bool:
 def _kl_row(w: AffPerm) -> dict[AffPerm, LaurentPoly]:
     """The full row y -> P_{y,w} of w in W', filled first if need be, from the
     full rows of v = sw and of each z in the mu-list of v with sz < z."""
-    return _descend(w, lambda u: _KL[u] if _full(u) else None,
-                    lambda e: _store(_KL[e], {e: ONE}), _fill_row)
+    return descend(w, lambda u: _KL[u] if _full(u) else None,
+                   lambda e: _store(_KL[e], {e: ONE}), _fill_row, _mu_deps)
 
 
 def _fill_row(w: AffPerm, i: int, prev: dict[AffPerm, LaurentPoly], zs) -> None:
@@ -381,8 +376,7 @@ def _fill_row(w: AffPerm, i: int, prev: dict[AffPerm, LaurentPoly], zs) -> None:
         for y in bruhat_lower(z):
             new[y] = _CORRECTIONS[new[y], mu, k, row[y]]
     for y, p in new.items():
-        # P_{y,w} for y < w is kl_shaped, of q-degree <= (l(w) - l(y) - 1)/2
-        if _DEGREES[p] > lw - y.length - 1 and y is not w:
+        if not kl_record_valid(y, w, p):
             raise KLInvariantViolation(f"KL recursion violated degree bounds at {(y, w)}: {p!r}")
     _store(_KL[w], new)
     _FULL.add(w)
@@ -399,6 +393,13 @@ def _store(row: dict[AffPerm, LaurentPoly], new: dict[AffPerm, LaurentPoly]) -> 
 def kl_shaped(p: LaurentPoly) -> bool:
     """The shape of every KL polynomial: zero, or a polynomial in q with constant term 1."""
     return p.is_zero() or (p.coeff(0) == 1 and p.in_q() and p.min_degree() >= 0)
+
+
+def kl_record_valid(y: AffPerm, w: AffPerm, p: LaurentPoly) -> bool:
+    """The checks on a record P_{y,w} = p, y and w in W', that need no Bruhat
+    order: P_{w,w} = 1; otherwise p is kl_shaped, of q-degree at most
+    (l(w) - l(y) - 1)/2 (checked once per distinct p, by _DEGREES)."""
+    return p == ONE if y is w else _DEGREES[p] <= w.length - y.length - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,39 +419,7 @@ def _mu_list(w: AffPerm) -> tuple[tuple[AffPerm, int], ...]:
 # (w, i) -> the (z, mu) of the mu-list of w with s_i z < z: the one mu filter of
 # the W-graph rule, read by the descent driver and by _add_left_gen.
 _MU_FILTER = Memo(lambda w, i: tuple(p for p in _mu_list(w) if i in p[0].left_descents))
-
-
-def _descend(x: AffPerm, made, base, make):
-    """f(x) for x in W', made by Kazhdan-Lusztig's rule along lowest left descents.
-
-    made(y) is f(y) once it is made, else None.  For s = s_i the lowest left
-    descent of y, f(y) needs f(sy), then f(z) for each (z, mu) in
-    _MU_FILTER[sy, i], and make(y, i, f(sy), [((z, mu), f(z)), ...]) makes
-    it; base(y) makes f(y) for a y with no left descent.  An explicit work
-    stack makes them in the order a recursion would, in place of a recursion
-    l(x) deep, and reads the mu-list of sy only once f(sy) is made."""
-    stack = [x]
-    while stack:
-        y = stack[-1]
-        if made(y) is not None:
-            stack.pop()
-        elif not y.left_descents:
-            base(y)
-        else:
-            i = min(y.left_descents)
-            yp = y.left(i)
-            first = made(yp)
-            if first is None:
-                stack.append(yp)
-                continue
-            zs = _MU_FILTER[yp, i]
-            parts = [made(z) for z, _ in zs]
-            todo = [z for (z, _), p in zip(zs, parts) if p is None]
-            if todo:
-                stack += reversed(todo)
-            else:
-                make(y, i, first, zip(zs, parts))
-    return made(x)
+_mu_deps = lambda w, i: _MU_FILTER[w, i]  # the deps of descend for both canonical-basis walks
 
 
 def kl_mu(y: AffPerm, w: AffPerm) -> int:
@@ -539,7 +508,7 @@ def _h_expansion_core(u: AffPerm, v: AffPerm) -> Mapping[AffPerm, LaurentPoly]:
 
     # a held product is never 0, and made(e) is C_v, so base is never called
     made = lambda x: _PRODUCTS.get((x, v)) or (cv if x.is_identity() else None)
-    return _descend(u, made, None, make)
+    return descend(u, made, None, make, _mu_deps)
 
 
 def h_expansion(x: AffPerm, y: AffPerm) -> Mapping[AffPerm, LaurentPoly]:

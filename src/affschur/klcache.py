@@ -9,9 +9,9 @@ a warning count instead of failing.
 
 A load checks every record before the memo sees it, and counts a record that
 fails as a corrupt line: both windows must build elements of W' (rho-degree
-0), the coefficients of P must be integers or integer strings, P_{w,w} must be
-1, P_{y,w} must pass hecke.kl_shaped and have t-degree at most l(w) - l(y) - 1,
-and r may be at most MAX_PERIOD.  Whether y <= w holds needs the lower ideals:
+0), the coefficients of P must be integers or integer strings, the record must
+pass hecke.kl_record_valid (P_{w,w} = 1; otherwise P_{y,w} is kl_shaped, of
+t-degree at most l(w) - l(y) - 1), and r may be at most MAX_PERIOD.  Whether y <= w holds needs the lower ideals:
 hecke checks it when a row is first read, and scan_stats counts the nonzero
 records with y not <= w as not_below_w.  Each distinct window becomes one
 element, and each distinct P one polynomial, parsed and shape-checked once;
@@ -27,7 +27,7 @@ from . import hecke
 from .affperm import MAX_PERIOD, AffPerm, bruhat_lower
 from .errors import CacheIoError, InvalidWindow
 from .interned import Memo
-from .laurent import ONE, LaurentPoly
+from .laurent import LaurentPoly
 
 __all__ = ["KLCache", "scan_stats"]
 
@@ -155,13 +155,13 @@ def _checked(path: str):
     """Yield (y, w, P) for each record of a cache file that passes the checks
     in the module docstring, None for each line that is corrupt or fails one.
     Each distinct window is validated once, into one element, and
-    hecke.kl_shaped runs once per distinct P."""
-    elements, shaped = Memo(_element), Memo(hecke.kl_shaped)
+    hecke.kl_record_valid checks the shape of each distinct P once."""
+    elements = Memo(_element)
     for rec in _records(path):
         if rec is not None:
             (r, y, w), poly = rec
             y, w = elements[r, y], elements[r, w]
-            if y is not None and w is not None and _plausible(y, w, poly, shaped[poly]):
+            if y is not None and w is not None and hecke.kl_record_valid(y, w, poly):
                 yield y, w, poly
                 continue
         yield None
@@ -178,13 +178,6 @@ def _element(r: int, window: tuple) -> AffPerm | None:
         except InvalidWindow:
             pass
     return None
-
-
-def _plausible(y: AffPerm, w: AffPerm, p: LaurentPoly, shaped: bool) -> bool:
-    """The checks on P_{y,w} that need no Bruhat order, given hecke.kl_shaped(p)."""
-    if y is w:
-        return p == ONE
-    return shaped and p.degree() <= w.length - y.length - 1
 
 
 def scan_stats(path: str) -> dict:

@@ -223,6 +223,55 @@ def test_c_products_walk_long_chains_without_recursion():
     assert proc.stdout.split() == ["True", "True", "True"]
 
 
+def _descend_by_recursion(x, f, calls, deps):
+    """The reference of affperm.descend: the same induction as a plain
+    recursion, logging each base and make call into calls."""
+    if x in f:
+        return
+    if not x.left_descents:
+        calls.append(("base", x))
+        f[x] = len(calls)
+        return
+    i = min(x.left_descents)
+    xp = x.left(i)
+    _descend_by_recursion(xp, f, calls, deps)
+    zs = deps(xp, i)
+    for z, _ in zs:
+        _descend_by_recursion(z, f, calls, deps)
+    calls.append(("make", x, i, f[xp], tuple((p, f[p[0]]) for p in zs)))
+    f[x] = len(calls)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(st.integers(0, r - 1), max_size=8))))
+# two of the few x in ball(3, 8) and ball(4, 6) whose walk meets two missing z at once
+@example((3, [0, 1, 2, 0, 1, 2, 0]))
+@example((4, [3, 1, 2, 1, 0, 3]))
+def test_descend_makes_what_a_recursion_makes_in_its_order(case):
+    # f(y) is the number of the call that made y, so each make also shows
+    # which f(sy) and f(z) it was handed
+    x = from_word(case[0], 0, case[1])
+    expected = []
+    _descend_by_recursion(x, {}, expected, lambda y, i: hecke._MU_FILTER[y, i])
+    f, calls = {}, []
+
+    def deps(y, i):
+        assert y in f, f"deps read at {y} before f({y}) is made"
+        return hecke._MU_FILTER[y, i]
+
+    def base(y):
+        calls.append(("base", y))
+        f[y] = len(calls)
+
+    def make(y, i, first, parts):
+        calls.append(("make", y, i, first, tuple(parts)))
+        f[y] = len(calls)
+
+    assert affperm.descend(x, f.get, base, make, deps) == f[x]
+    assert calls == expected
+
+
 def _assert_shared(values):
     """Equal values among these are one object."""
     first = {}
